@@ -21,6 +21,7 @@ use crate::seed::sub_seed;
 use crate::serve::{
     decode_response, read_frame, write_frame, Response, Status, REQ_SHUTDOWN, REQ_STATS, REQ_VERIFY,
 };
+use pdip_obs::export::esc;
 use std::collections::HashMap;
 use std::io::Write;
 use std::net::TcpStream;
@@ -249,22 +250,18 @@ pub fn stats_detail_to_json(detail: &str) -> String {
             out.push_str(", ");
         }
         out.push('"');
-        out.push_str(&escape_json(key));
+        out.push_str(&esc(key));
         out.push_str("\": ");
         if !value.is_empty() && value.bytes().all(|b| b.is_ascii_digit()) {
             out.push_str(value);
         } else {
             out.push('"');
-            out.push_str(&escape_json(value));
+            out.push_str(&esc(value));
             out.push('"');
         }
     }
     out.push('}');
     out
-}
-
-fn escape_json(s: &str) -> String {
-    s.replace('\\', "\\\\").replace('"', "\\\"")
 }
 
 /// Connects to a running server, sends one [`REQ_STATS`] frame with
@@ -327,6 +324,8 @@ mod tests {
         assert_eq!(stats_detail_to_json(""), "{}");
         // Quotes in a value must not break the JSON framing.
         assert_eq!(stats_detail_to_json("note=a\"b"), "{\"note\": \"a\\\"b\"}");
+        // So must control characters: the detail is outside input.
+        assert_eq!(stats_detail_to_json("k=a\u{1}b"), "{\"k\": \"a\\u0001b\"}");
     }
 
     #[test]

@@ -77,10 +77,10 @@ pub use scale::{
 };
 pub use seed::{job_seed, splitmix_finalize, sub_seed};
 pub use serve::{
-    decode_response, encode_response, panic_blob, process_batch, read_frame, run_serve_smoke,
-    serve_concurrent, serve_stream, serve_tcp, smoke_requests, spawn_server, verify_blob,
-    write_frame, Gate, Response, ServeConfig, ServeObs, ServeSmokeReport, ServeStats, ServerHandle,
-    ShutdownFlag, Status, DEFAULT_FLIGHT_CAP, DEFAULT_SLOW_THRESHOLD, E12_SEED, REQ_STATS,
+    decode_response, encode_response, panic_blob, read_frame, run_serve_smoke, serve_concurrent,
+    serve_pipe, serve_tcp, smoke_requests, spawn_server, verify_blob, write_frame, Gate, Response,
+    ServeConfig, ServeObs, ServeSmokeReport, ServeStats, ServerHandle, ShutdownFlag, Status,
+    DEFAULT_FLIGHT_CAP, DEFAULT_SLOW_THRESHOLD, E12_SEED, REQ_STATS,
 };
 pub use serve_chaos::{
     determinism_probe, run_serve_chaos, ChaosCell, ServeChaosReport, ServeChaosSpec, E13_SEED,

@@ -39,16 +39,18 @@
 
 use crate::report::render_table;
 use crate::seed::sub_seed;
+use crate::serve::harness::{
+    connect, held_storm, honest_blob, read_responses, send_verifies, stream_mix, MixSession,
+};
 use crate::serve::{
-    decode_response, panic_blob, read_frame, smoke_requests, spawn_server, write_frame, Gate,
-    Response, ServeConfig, ServeObs, Status, REQ_SHUTDOWN, REQ_STATS, REQ_VERIFY,
+    decode_response, panic_blob, read_frame, spawn_server, write_frame, Gate, ServeConfig,
+    ServeObs, Status, REQ_SHUTDOWN, REQ_STATS,
 };
 use pdip_obs::MetricsSnapshot;
 use pdip_wire::{fnv1a64, frame::fault};
 use std::io::Write;
-use std::net::TcpStream;
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 /// Base seed of the committed E14 artifacts.
 pub const E14_SEED: u64 = 0xe14;
@@ -102,55 +104,6 @@ pub struct MetricsProbe {
     pub failures: Vec<String>,
 }
 
-fn connect(port: u16) -> std::io::Result<TcpStream> {
-    let s = TcpStream::connect(("127.0.0.1", port))?;
-    s.set_read_timeout(Some(Duration::from_secs(10)))?;
-    Ok(s)
-}
-
-fn verify_frame(blob: &[u8]) -> Vec<u8> {
-    let mut f = Vec::with_capacity(1 + blob.len());
-    f.push(REQ_VERIFY);
-    f.extend_from_slice(blob);
-    f
-}
-
-fn read_responses(stream: &mut TcpStream, n: usize) -> Result<Vec<Response>, String> {
-    let mut out = Vec::with_capacity(n);
-    for i in 0..n {
-        match read_frame(stream) {
-            Ok(Some(p)) => match decode_response(&p) {
-                Some(r) => out.push(r),
-                None => return Err(format!("undecodable response frame {i}")),
-            },
-            Ok(None) => return Err(format!("EOF after {i}/{n} responses")),
-            Err(e) => return Err(format!("recv {i}/{n}: {e}")),
-        }
-    }
-    out.sort_by_key(|r| r.seq);
-    Ok(out)
-}
-
-/// A small honest transcript blob (accepts under replay).
-fn honest_blob(seed: u64) -> Vec<u8> {
-    use crate::family::{Family, YesInstance};
-    use pdip_protocols::{PopParams, Transport};
-    use pdip_wire::WireInstance;
-    let inst = match YesInstance::generate(Family::PathOuterplanar, 16, seed) {
-        YesInstance::Pop(i) => WireInstance::Pop(i),
-        _ => unreachable!("PathOuterplanar generates Pop"),
-    };
-    pdip_wire::Transcript::record(
-        inst,
-        PopParams::default(),
-        Transport::Simulated,
-        0,
-        seed,
-        seed ^ 1,
-    )
-    .encode()
-}
-
 fn hist_count(snap: &MetricsSnapshot, name: &str) -> u64 {
     snap.histogram(name).map(|h| h.count()).unwrap_or(0)
 }
@@ -161,24 +114,15 @@ fn hist_count(snap: &MetricsSnapshot, name: &str) -> u64 {
 /// the freshness test can replay the committed digest.
 pub fn metrics_determinism_probe(base_seed: u64, threads: usize) -> Result<MetricsProbe, String> {
     let obs = Arc::new(ServeObs::new());
-    let requests = smoke_requests(base_seed);
-    let n = requests.len() as u64;
     let cfg = ServeConfig {
         threads,
-        queue_cap: requests.len().max(1),
         deadline: None,
         obs: Some(Arc::clone(&obs)),
         ..ServeConfig::default()
     };
-    let server = spawn_server(cfg).map_err(|e| format!("spawn: {e}"))?;
-    let mut s = connect(server.port()).map_err(|e| format!("connect: {e}"))?;
-    let started = Instant::now();
-    for (_seq, blob) in &requests {
-        write_frame(&mut s, &verify_frame(blob)).map_err(|e| format!("send: {e}"))?;
-    }
-    s.flush().map_err(|e| format!("flush: {e}"))?;
-    let responses = read_responses(&mut s, requests.len())?;
-    let elapsed = started.elapsed().as_secs_f64();
+    let MixSession { server, conn: mut s, responses, elapsed } = stream_mix(base_seed, cfg)?;
+    let n = responses.len() as u64;
+    let elapsed = elapsed.as_secs_f64();
     let mid = obs.snapshot();
 
     let accepted = responses.iter().filter(|r| r.status == Status::Accept).count() as u64;
@@ -395,9 +339,7 @@ fn fault_mix(trials: usize, base_seed: u64) -> Result<FaultMix, String> {
         let server = spawn_server(cfg).map_err(|e| format!("spawn panic: {e}"))?;
         for t in 0..trials {
             let mut s = connect(server.port()).map_err(|e| format!("panic connect: {e}"))?;
-            write_frame(&mut s, &verify_frame(&panic_blob(token)))
-                .map_err(|e| format!("panic send: {e}"))?;
-            s.flush().map_err(|e| format!("panic flush: {e}"))?;
+            send_verifies(&mut s, [panic_blob(token)]).map_err(|e| format!("panic {e}"))?;
             let r = read_responses(&mut s, 1)?;
             if r[0].status != Status::Malformed || !r[0].detail.starts_with("panic:") {
                 failures.push(format!("panic trial {t}: got {:?}", r[0]));
@@ -415,18 +357,12 @@ fn fault_mix(trials: usize, base_seed: u64) -> Result<FaultMix, String> {
         cfg.queue_cap = 4;
         cfg.hold = Some(gate.clone());
         let server = spawn_server(cfg).map_err(|e| format!("spawn busy: {e}"))?;
-        let blob = honest_blob(sub_seed(base_seed, 0xb5 + t as u64));
-        let mut s = connect(server.port()).map_err(|e| format!("busy connect: {e}"))?;
-        for _ in 0..12 {
-            write_frame(&mut s, &verify_frame(&blob)).map_err(|e| format!("busy send: {e}"))?;
-        }
-        s.flush().map_err(|e| format!("busy flush: {e}"))?;
-        let early = read_responses(&mut s, 8)?;
+        let blobs = vec![honest_blob(sub_seed(base_seed, 0xb5 + t as u64)); 12];
+        let (early, late) =
+            held_storm(server.port(), &gate, 4, &blobs).map_err(|e| format!("busy {e}"))?;
         if !early.iter().all(|r| r.status == Status::Busy) {
             failures.push(format!("busy trial {t}: a pre-gate response was not busy"));
         }
-        gate.open();
-        let late = read_responses(&mut s, 4)?;
         busy_verified += late.iter().filter(|r| r.status == Status::Accept).count() as u64;
         server.stop().map_err(|e| format!("busy stop: {e}"))?;
     }

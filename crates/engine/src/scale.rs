@@ -206,15 +206,11 @@ pub struct ScaleReport {
 }
 
 /// FNV-1a over the deterministic outcome of a run: verdict, rejections
-/// (global node ids + reason bytes), kinds, and the full size stats.
+/// (global node ids + reason bytes), kinds, and the full size stats,
+/// each value widened to a little-endian `u64`.
 pub fn digest_result(res: &RunResult) -> u64 {
-    let mut h: u64 = 0xcbf29ce484222325;
-    let mut eat = |b: u64| {
-        for byte in b.to_le_bytes() {
-            h ^= byte as u64;
-            h = h.wrapping_mul(0x100000001b3);
-        }
-    };
+    let mut bytes = Vec::new();
+    let mut eat = |v: u64| bytes.extend_from_slice(&v.to_le_bytes());
     eat(res.accepted() as u64);
     eat(res.rejections.len() as u64);
     for ((v, reason), kind) in res.rejections.iter().zip(&res.kinds) {
@@ -233,7 +229,7 @@ pub fn digest_result(res: &RunResult) -> u64 {
     for &b in &res.stats.per_round_total_bits {
         eat(b as u64);
     }
-    h
+    pdip_wire::fnv1a64(&bytes)
 }
 
 /// Streams the skeleton's shards through the planarity verifier on

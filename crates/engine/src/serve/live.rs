@@ -1,4 +1,4 @@
-//! The long-lived concurrent TCP front-end of `pdip serve`.
+//! The live worker pool of `pdip serve` and its two front-ends.
 //!
 //! # Connection lifecycle
 //!
@@ -12,12 +12,18 @@
 //!                                        atomic; clients sort by seq)
 //! ```
 //!
-//! One accept loop feeds per-connection reader threads into a **single
-//! shared worker pool** — concurrency is bounded by
-//! [`ServeConfig::threads`] workers and [`ServeConfig::queue_cap`]
-//! queued requests no matter how many connections are open. Readers
-//! submit with `try_send`: a full queue answers [`Status::Busy`]
-//! immediately (backpressure, never blocking the socket).
+//! Every front-end feeds the same reader loop into a **single shared
+//! worker pool** — concurrency is bounded by [`ServeConfig::threads`]
+//! workers and [`ServeConfig::queue_cap`] queued requests no matter how
+//! many connections are open. Readers submit with `try_send`: a full
+//! queue answers [`Status::Busy`] immediately (backpressure, never
+//! blocking the stream).
+//!
+//! * **TCP** ([`serve_concurrent`]): one accept loop, one reader thread
+//!   per socket; responses stream back as each request completes.
+//! * **Pipe** ([`serve_pipe`], `pdip serve --stdin`): one in-process
+//!   connection read on the calling thread; its responses are collected
+//!   and written sorted by seq once the stream ends.
 //!
 //! # Failure semantics
 //!
@@ -43,7 +49,9 @@
 //! (`seq = u64::MAX`) to the shutdown-requesting connection. Every
 //! request accepted into the queue is completed and answered even if
 //! the drain deadline expires — the deadline bounds only the wait for
-//! the stats frame, which then reports `drained=timeout`.
+//! the stats frame, which then reports `drained=timeout`. A pipe stops
+//! reading at its shutdown frame and answers everything it queued, with
+//! no stats frame.
 
 use super::{
     encode_response, fault_class, read_frame_deadline, verify_guarded, write_frame, Response,
@@ -52,10 +60,10 @@ use super::{
 use crate::pool::PanicSilencer;
 use crate::report::Reporter;
 use pdip_obs::{counter, NoopRecorder, Recorder, ScopedRecorder, SpanId, TeeRecorder};
-use std::io::Write;
+use std::io::{Read, Write};
 use std::net::{Shutdown, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::mpsc::{sync_channel, TrySendError};
+use std::sync::mpsc::{sync_channel, Receiver, SyncSender, TrySendError};
 use std::sync::{Arc, Mutex, Weak};
 use std::thread;
 use std::time::{Duration, Instant};
@@ -83,8 +91,8 @@ impl ShutdownFlag {
     }
 }
 
-/// Shared per-connection counters (folded into [`ServeStats`] at the
-/// end of [`serve_concurrent`]).
+/// The pool's shared counters (folded into [`ServeStats`] when it
+/// stops).
 #[derive(Default)]
 struct Counters {
     accepted: AtomicU64,
@@ -131,25 +139,42 @@ impl Counters {
     }
 }
 
-/// One accepted connection: an id for observability and the shared
-/// write half. The mutex keeps response frames atomic when a worker and
-/// the reader answer the same peer concurrently; `None` marks the
+/// Where one connection's responses go.
+enum Sink {
+    /// A TCP peer: each response is written as soon as it is ready.
+    Tcp(TcpStream),
+    /// An in-process pipe: responses are collected, then written
+    /// seq-sorted once the stream ends (see [`serve_pipe`]).
+    Collect(Vec<Response>),
+}
+
+/// One open connection: an id for observability and the shared write
+/// half. The mutex keeps response frames atomic when a worker and the
+/// reader answer the same peer concurrently; `None` marks the
 /// connection dead (a failed write never cascades).
 struct Conn {
     id: u64,
-    writer: Mutex<Option<TcpStream>>,
+    sink: Mutex<Option<Sink>>,
 }
 
 impl Conn {
-    /// Writes one response frame (best-effort), timing it into the
+    /// Sends one response (best-effort), timing it into the
     /// `serve/write` latency histogram. A failed write marks the
     /// connection dead and counts one `io_error`; it never affects any
     /// other connection or request.
-    fn send(&self, r: &Response, counters: &Counters, rec: &dyn Recorder) {
-        let Ok(mut guard) = self.writer.lock() else { return };
-        let Some(stream) = guard.as_mut() else { return };
+    fn send(&self, r: Response, counters: &Counters, rec: &dyn Recorder) {
+        let Ok(mut guard) = self.sink.lock() else { return };
+        let Some(sink) = guard.as_mut() else { return };
         let started = rec.enabled().then(Instant::now);
-        let ok = write_frame(stream, &encode_response(r)).and_then(|()| stream.flush());
+        let ok = match sink {
+            Sink::Tcp(stream) => {
+                write_frame(stream, &encode_response(&r)).and_then(|()| stream.flush())
+            }
+            Sink::Collect(out) => {
+                out.push(r);
+                Ok(())
+            }
+        };
         if let Some(t0) = started {
             rec.duration("serve/write", u64::try_from(t0.elapsed().as_nanos()).unwrap_or(u64::MAX));
         }
@@ -160,19 +185,29 @@ impl Conn {
         }
     }
 
-    /// Shuts down the read half of the socket, waking a blocked reader
+    /// Shuts down the read half of a TCP socket, waking a blocked reader
     /// thread with a clean EOF. Data already queued is unaffected.
     fn shutdown_read(&self) {
-        if let Ok(guard) = self.writer.lock() {
-            if let Some(stream) = guard.as_ref() {
+        if let Ok(guard) = self.sink.lock() {
+            if let Some(Sink::Tcp(stream)) = guard.as_ref() {
                 let _unused = stream.shutdown(Shutdown::Read);
             }
         }
     }
+
+    /// The responses a collecting connection gathered, seq-sorted.
+    fn take_collected(&self) -> Vec<Response> {
+        let mut out = match self.sink.lock().ok().and_then(|mut g| g.take()) {
+            Some(Sink::Collect(out)) => out,
+            _ => Vec::new(),
+        };
+        out.sort_by_key(|r| r.seq);
+        out
+    }
 }
 
 /// One queued verification request, tagged with its connection so the
-/// worker can stream the response back directly.
+/// worker can answer it directly.
 struct ConnJob {
     conn: Arc<Conn>,
     seq: u64,
@@ -180,132 +215,270 @@ struct ConnJob {
     enqueued: Instant,
 }
 
-/// Runs the concurrent front-end on an already-bound listener until
-/// `shutdown` is requested (by a [`REQ_SHUTDOWN`] frame, a signal
-/// handler, or [`ServerHandle::stop`]), then drains gracefully.
-/// Returns the aggregate stats over the server's whole lifetime.
-pub fn serve_concurrent(
+/// The worker pool and everything its workers and connection readers
+/// share.
+struct Pool<'a> {
+    cfg: &'a ServeConfig,
+    /// The caller's recorder teed with `obs`.
+    rec: &'a dyn Recorder,
+    obs: &'a ServeObs,
+    shutdown: &'a ShutdownFlag,
+    counters: Counters,
+    jobs_rx: Mutex<Receiver<ConnJob>>,
+    /// The connection that sent [`REQ_SHUTDOWN`]; a TCP drain sends it
+    /// the final stats frame.
+    stats_conn: Mutex<Option<Arc<Conn>>>,
+}
+
+/// Runs `front` next to `cfg.threads` workers sharing one bounded job
+/// queue. `front` gets the pool and the queue's only sender; once it
+/// returns (dropping every sender), the workers finish whatever is still
+/// queued and are joined. Returns `front`'s result and the aggregate
+/// stats.
+fn run_pool<T>(
     cfg: &ServeConfig,
-    listener: TcpListener,
-    shutdown: &ShutdownFlag,
     rec: &dyn Recorder,
-) -> std::io::Result<ServeStats> {
-    let threads = cfg.threads.max(1);
+    shutdown: &ShutdownFlag,
+    front: impl FnOnce(&Pool<'_>, SyncSender<ConnJob>) -> T,
+) -> (T, ServeStats) {
     let _silencer = PanicSilencer::engage();
     // Live metrics are always on: use the caller's shared bridge or a
     // private one, and tee it next to the caller's trace recorder so
     // both observe the same instrumentation stream.
-    let obs_arc = cfg.obs.clone().unwrap_or_default();
-    let obs: &ServeObs = obs_arc.as_ref();
-    let tee = TeeRecorder::new(rec, obs);
-    let rec: &dyn Recorder = &tee;
-    let counters = Counters::default();
+    let obs = cfg.obs.clone().unwrap_or_default();
+    let tee = TeeRecorder::new(rec, obs.as_ref());
     let (jobs_tx, jobs_rx) = sync_channel::<ConnJob>(cfg.queue_cap.max(1));
-    let jobs_rx = Mutex::new(jobs_rx);
-    // The connection that sent REQ_SHUTDOWN receives the final stats
-    // frame after the drain.
-    let stats_conn: Mutex<Option<Arc<Conn>>> = Mutex::new(None);
-    let mut drained_ok = true;
-
-    listener.set_nonblocking(true)?;
-
-    thread::scope(|s| -> std::io::Result<()> {
-        for _ in 0..threads {
-            let jobs_rx = &jobs_rx;
-            let counters = &counters;
-            let cfg = &*cfg;
-            s.spawn(move || loop {
-                if let Some(g) = &cfg.hold {
-                    g.wait_open();
-                }
-                let job = match jobs_rx.lock() {
-                    Ok(rx) => rx.recv(),
-                    Err(_) => break,
-                };
-                let Ok(job) = job else { break };
-                counters.queue_depth.fetch_sub(1, Ordering::SeqCst);
-                let job_rec = ScopedRecorder::new(rec, job.seq);
-                if job_rec.enabled() {
-                    let waited = job.enqueued.elapsed().as_nanos();
-                    job_rec.duration("serve/queue-wait", u64::try_from(waited).unwrap_or(u64::MAX));
-                }
-                let (status, detail) = verify_guarded(
-                    &job.blob,
-                    cfg.panic_token,
-                    cfg.deadline,
-                    &job_rec,
-                    &counters.panics,
-                );
-                counter(&job_rec, job.seq, SpanId::new("serve/request"), status.name(), 1);
-                counters.bump(status);
-                if status == Status::Malformed && detail.starts_with("panic: ") {
-                    obs.note_panic(job.conn.id, job.seq, detail.clone());
-                }
-                job.conn.send(&Response { seq: job.seq, status, detail }, counters, &job_rec);
-                let elapsed = u64::try_from(job.enqueued.elapsed().as_nanos()).unwrap_or(u64::MAX);
-                if elapsed > obs.slow_threshold_nanos() {
-                    obs.note_slow(job.conn.id, job.seq, status.name(), elapsed);
-                }
-                // Decrement only after the response hit (or provably
-                // missed) the socket, so the drain loop never races a
-                // half-written response.
-                counters.inflight.fetch_sub(1, Ordering::SeqCst);
-            });
+    let pool = Pool {
+        cfg,
+        rec: &tee,
+        obs: &obs,
+        shutdown,
+        counters: Counters::default(),
+        jobs_rx: Mutex::new(jobs_rx),
+        stats_conn: Mutex::new(None),
+    };
+    let out = thread::scope(|s| {
+        for _ in 0..cfg.threads.max(1) {
+            s.spawn(|| pool.work());
         }
+        front(&pool, jobs_tx)
+    });
+    (out, pool.counters.stats())
+}
 
-        // Accept loop: non-blocking so the shutdown flag is polled even
-        // while idle. Each connection gets its own reader thread; all
-        // readers share `jobs_tx` clones. A fatal accept error falls
-        // through to the drain (never an early return — workers blocked
-        // on `recv` must see the queue disconnect before the scope
-        // joins them).
-        let mut conns: Vec<Weak<Conn>> = Vec::new();
-        let mut accept_err = None;
-        while !shutdown.requested() {
-            match listener.accept() {
-                Ok((stream, _addr)) => {
-                    let id = counters.connections.fetch_add(1, Ordering::SeqCst);
-                    let writer = match stream.try_clone() {
-                        Ok(w) => w,
-                        Err(_) => {
-                            counters.io_errors.fetch_add(1, Ordering::Relaxed);
-                            continue;
-                        }
-                    };
-                    let conn = Arc::new(Conn { id, writer: Mutex::new(Some(writer)) });
-                    conns.push(Arc::downgrade(&conn));
-                    obs.note_connection(id);
-                    let jobs_tx = jobs_tx.clone();
-                    let counters = &counters;
-                    let stats_conn = &stats_conn;
-                    let cfg = &*cfg;
-                    s.spawn(move || {
-                        read_connection(
-                            cfg, stream, conn, jobs_tx, counters, stats_conn, shutdown, rec, obs,
-                        )
-                    });
+impl Pool<'_> {
+    /// One worker: takes jobs until the queue disconnects.
+    fn work(&self) {
+        let (cfg, counters, obs) = (self.cfg, &self.counters, self.obs);
+        loop {
+            if let Some(g) = &cfg.hold {
+                g.wait_open();
+            }
+            let job = match self.jobs_rx.lock() {
+                Ok(rx) => rx.recv(),
+                Err(_) => break,
+            };
+            let Ok(job) = job else { break };
+            counters.queue_depth.fetch_sub(1, Ordering::SeqCst);
+            let job_rec = ScopedRecorder::new(self.rec, job.seq);
+            if job_rec.enabled() {
+                let waited = job.enqueued.elapsed().as_nanos();
+                job_rec.duration("serve/queue-wait", u64::try_from(waited).unwrap_or(u64::MAX));
+            }
+            let (status, detail) = verify_guarded(
+                &job.blob,
+                cfg.panic_token,
+                cfg.deadline,
+                &job_rec,
+                &counters.panics,
+            );
+            counter(&job_rec, job.seq, SpanId::new("serve/request"), status.name(), 1);
+            counters.bump(status);
+            if status == Status::Malformed && detail.starts_with("panic: ") {
+                obs.note_panic(job.conn.id, job.seq, detail.clone());
+            }
+            job.conn.send(Response { seq: job.seq, status, detail }, counters, &job_rec);
+            let elapsed = u64::try_from(job.enqueued.elapsed().as_nanos()).unwrap_or(u64::MAX);
+            if elapsed > obs.slow_threshold_nanos() {
+                obs.note_slow(job.conn.id, job.seq, status.name(), elapsed);
+            }
+            // Decrement only after the response hit (or provably
+            // missed) the socket, so the drain loop never races a
+            // half-written response.
+            counters.inflight.fetch_sub(1, Ordering::SeqCst);
+        }
+    }
+
+    /// Registers a newly opened connection.
+    fn open(&self, sink: Sink) -> Arc<Conn> {
+        let id = self.counters.connections.fetch_add(1, Ordering::SeqCst);
+        self.obs.note_connection(id);
+        Arc::new(Conn { id, sink: Mutex::new(Some(sink)) })
+    }
+
+    /// Answers one request on `conn` from the reader side.
+    fn answer(&self, conn: &Conn, seq: u64, status: Status, detail: String) {
+        conn.send(Response { seq, status, detail }, &self.counters, self.rec);
+    }
+
+    /// The per-connection reader loop: reads frames until EOF,
+    /// [`REQ_SHUTDOWN`], or a frame-level fault, which is answered with a
+    /// [`Status::ConnError`] and returned.
+    fn read_connection(
+        &self,
+        input: &mut dyn Read,
+        read_deadline: Option<Duration>,
+        conn: &Arc<Conn>,
+        jobs_tx: SyncSender<ConnJob>,
+    ) -> Option<std::io::Error> {
+        let (counters, rec, obs) = (&self.counters, self.rec, self.obs);
+        let mut seq = 0u64;
+        loop {
+            let frame = match read_frame_deadline(input, self.cfg.max_frame_bytes, read_deadline) {
+                Ok(Some(frame)) => frame,
+                Ok(None) => {
+                    // Clean EOF (peer closed or drain read-shutdown).
+                    obs.flight_event("conn-close", conn.id, seq, "close", String::new());
+                    return None;
                 }
-                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                    thread::sleep(Duration::from_millis(5));
-                }
-                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
                 Err(e) => {
-                    accept_err = Some(e);
-                    break;
+                    if self.shutdown.requested() {
+                        // The drain's read-shutdown can surface as an
+                        // error mid-frame; that is not a peer fault.
+                        return None;
+                    }
+                    let class = fault_class(e.kind());
+                    counters.conn_faults.fetch_add(1, Ordering::Relaxed);
+                    counter(rec, conn.id, SpanId::new("serve/conn"), class, 1);
+                    obs.flight_event("conn-fault", conn.id, seq, class, e.to_string());
+                    // The fault response carries the seq the faulted
+                    // frame would have had.
+                    self.answer(conn, seq, Status::ConnError, format!("{class}: {e}"));
+                    return Some(e);
+                }
+            };
+            let this_seq = seq;
+            seq += 1;
+            match frame.first().copied() {
+                Some(REQ_VERIFY) => {
+                    counters.inflight.fetch_add(1, Ordering::SeqCst);
+                    let depth = counters.queue_depth.fetch_add(1, Ordering::SeqCst) + 1;
+                    rec.gauge("serve/queue-depth", depth);
+                    let job = ConnJob {
+                        conn: Arc::clone(conn),
+                        seq: this_seq,
+                        blob: frame[1..].to_vec(),
+                        enqueued: Instant::now(),
+                    };
+                    match jobs_tx.try_send(job) {
+                        Ok(()) => {}
+                        Err(TrySendError::Full(_)) => {
+                            counters.inflight.fetch_sub(1, Ordering::SeqCst);
+                            counters.queue_depth.fetch_sub(1, Ordering::SeqCst);
+                            counters.busy.fetch_add(1, Ordering::Relaxed);
+                            counter(rec, this_seq, SpanId::new("serve/request"), "busy", 1);
+                            obs.flight_event(
+                                "busy",
+                                conn.id,
+                                this_seq,
+                                "busy",
+                                "queue full".into(),
+                            );
+                            self.answer(conn, this_seq, Status::Busy, "queue full".into());
+                        }
+                        Err(TrySendError::Disconnected(_)) => {
+                            counters.inflight.fetch_sub(1, Ordering::SeqCst);
+                            counters.queue_depth.fetch_sub(1, Ordering::SeqCst);
+                            return None;
+                        }
+                    }
+                }
+                Some(REQ_PING) => self.answer(conn, this_seq, Status::Pong, String::new()),
+                Some(REQ_STATS) => {
+                    let mode = frame.get(1).copied().unwrap_or(0);
+                    self.answer(conn, this_seq, Status::Stats, obs.render(mode));
+                }
+                Some(REQ_SHUTDOWN) => {
+                    self.answer(conn, this_seq, Status::ShutdownAck, String::new());
+                    if let Ok(mut slot) = self.stats_conn.lock() {
+                        *slot = Some(Arc::clone(conn));
+                    }
+                    obs.flight_event("shutdown", conn.id, this_seq, "shutdown", String::new());
+                    self.shutdown.request();
+                    return None;
+                }
+                tag => {
+                    counters.malformed.fetch_add(1, Ordering::Relaxed);
+                    counter(rec, this_seq, SpanId::new("serve/request"), "malformed", 1);
+                    let detail = format!("unknown request tag {tag:?}");
+                    self.answer(conn, this_seq, Status::Malformed, detail);
                 }
             }
         }
+    }
 
-        // Drain: stop reading everywhere (clean EOF for blocked
-        // readers), then wait for every accepted request's response.
-        for weak in &conns {
+    /// The TCP front-end: accepts connections (one reader thread each)
+    /// until shutdown is requested, then drains.
+    fn accept_and_drain(
+        &self,
+        listener: &TcpListener,
+        jobs_tx: SyncSender<ConnJob>,
+    ) -> std::io::Result<()> {
+        thread::scope(|s| {
+            // Non-blocking accept so the shutdown flag is polled even
+            // while idle. A fatal accept error falls through to the
+            // drain; the queue disconnects only after every reader has
+            // exited.
+            let mut conns: Vec<Weak<Conn>> = Vec::new();
+            let mut accept_err = None;
+            while !self.shutdown.requested() {
+                match listener.accept() {
+                    Ok((mut stream, _addr)) => {
+                        let Ok(writer) = stream.try_clone() else {
+                            self.counters.io_errors.fetch_add(1, Ordering::Relaxed);
+                            continue;
+                        };
+                        let conn = self.open(Sink::Tcp(writer));
+                        conns.push(Arc::downgrade(&conn));
+                        let jobs_tx = jobs_tx.clone();
+                        s.spawn(move || {
+                            // The socket timeout wakes blocked reads; the
+                            // frame reader's own total-elapsed check turns
+                            // slow drips into `read-stall` faults.
+                            let deadline = self.cfg.read_deadline;
+                            let _unused = stream.set_read_timeout(deadline);
+                            self.read_connection(&mut stream, deadline, &conn, jobs_tx);
+                        });
+                    }
+                    Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
+                        thread::sleep(Duration::from_millis(5));
+                    }
+                    Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
+                    Err(e) => {
+                        accept_err = Some(e);
+                        break;
+                    }
+                }
+            }
+            self.drain(&conns);
+            accept_err.map_or(Ok(()), Err)
+        })
+    }
+
+    /// Graceful drain: stops reading everywhere (clean EOF for blocked
+    /// readers), waits up to the drain deadline for every accepted
+    /// request's response, and sends the final stats frame.
+    fn drain(&self, conns: &[Weak<Conn>]) {
+        let counters = &self.counters;
+        for weak in conns {
             if let Some(conn) = weak.upgrade() {
                 conn.shutdown_read();
             }
         }
         let drain_started = Instant::now();
+        let mut drained_ok = true;
         while counters.inflight.load(Ordering::SeqCst) > 0 {
-            if drain_started.elapsed() > cfg.drain_deadline {
+            if drain_started.elapsed() > self.cfg.drain_deadline {
                 drained_ok = false;
                 break;
             }
@@ -325,167 +498,64 @@ pub fn serve_concurrent(
             snap.connections,
             if drained_ok { "ok" } else { "timeout" }
         );
-        obs.flight_event("drain", 0, 0, if drained_ok { "ok" } else { "timeout" }, detail.clone());
-        let receiver = stats_conn.lock().ok().and_then(|mut g| g.take());
+        self.obs.flight_event(
+            "drain",
+            0,
+            0,
+            if drained_ok { "ok" } else { "timeout" },
+            detail.clone(),
+        );
+        let receiver = self.stats_conn.lock().ok().and_then(|mut g| g.take());
         if let Some(conn) = receiver {
-            conn.send(&Response { seq: u64::MAX, status: Status::Stats, detail }, &counters, rec);
+            self.answer(&conn, u64::MAX, Status::Stats, detail);
         }
         // Post-mortem capture: the drain is the SIGTERM/shutdown path,
         // so dump the flight ring (best-effort, no-op without a path).
-        obs.dump_flight("drain");
-        // Disconnect the queue: workers finish every still-queued job
-        // (answering on whatever connections remain writable) and exit.
-        // `thread::scope` joins them before we return, so a drain
-        // timeout delays the stats frame but never loses a request.
-        drop(jobs_tx);
-        match accept_err {
-            Some(e) => Err(e),
-            None => Ok(()),
-        }
-    })?;
-
-    Ok(counters.stats())
+        self.obs.dump_flight("drain");
+    }
 }
 
-/// The per-connection reader loop (one thread per accepted socket).
-#[allow(clippy::too_many_arguments)]
-fn read_connection(
+/// Runs the TCP front-end on an already-bound listener until `shutdown`
+/// is requested (by a [`REQ_SHUTDOWN`] frame, a signal handler, or
+/// [`ServerHandle::stop`]), then drains gracefully. Returns the
+/// aggregate stats over the server's whole lifetime.
+pub fn serve_concurrent(
     cfg: &ServeConfig,
-    mut stream: TcpStream,
-    conn: Arc<Conn>,
-    jobs_tx: std::sync::mpsc::SyncSender<ConnJob>,
-    counters: &Counters,
-    stats_conn: &Mutex<Option<Arc<Conn>>>,
+    listener: TcpListener,
     shutdown: &ShutdownFlag,
     rec: &dyn Recorder,
-    obs: &ServeObs,
-) {
-    // The socket timeout wakes blocked reads; the frame reader's own
-    // total-elapsed check turns slow drips into `read-stall` faults.
-    let _unused = stream.set_read_timeout(cfg.read_deadline);
-    let mut seq = 0u64;
-    loop {
-        match read_frame_deadline(&mut stream, cfg.max_frame_bytes, cfg.read_deadline) {
-            Ok(None) => {
-                // Clean EOF (peer closed or drain read-shutdown).
-                obs.flight_event("conn-close", conn.id, seq, "close", String::new());
-                break;
-            }
-            Ok(Some(frame)) => {
-                let this_seq = seq;
-                seq += 1;
-                match frame.first().copied() {
-                    Some(REQ_VERIFY) => {
-                        counters.inflight.fetch_add(1, Ordering::SeqCst);
-                        let depth = counters.queue_depth.fetch_add(1, Ordering::SeqCst) + 1;
-                        rec.gauge("serve/queue-depth", depth);
-                        let job = ConnJob {
-                            conn: Arc::clone(&conn),
-                            seq: this_seq,
-                            blob: frame[1..].to_vec(),
-                            enqueued: Instant::now(),
-                        };
-                        match jobs_tx.try_send(job) {
-                            Ok(()) => {}
-                            Err(TrySendError::Full(job)) => {
-                                counters.inflight.fetch_sub(1, Ordering::SeqCst);
-                                counters.queue_depth.fetch_sub(1, Ordering::SeqCst);
-                                counters.busy.fetch_add(1, Ordering::Relaxed);
-                                counter(rec, this_seq, SpanId::new("serve/request"), "busy", 1);
-                                obs.flight_event(
-                                    "busy",
-                                    conn.id,
-                                    this_seq,
-                                    "busy",
-                                    "queue full".into(),
-                                );
-                                job.conn.send(
-                                    &Response {
-                                        seq: this_seq,
-                                        status: Status::Busy,
-                                        detail: "queue full".into(),
-                                    },
-                                    counters,
-                                    rec,
-                                );
-                            }
-                            Err(TrySendError::Disconnected(_)) => {
-                                counters.inflight.fetch_sub(1, Ordering::SeqCst);
-                                counters.queue_depth.fetch_sub(1, Ordering::SeqCst);
-                                break;
-                            }
-                        }
-                    }
-                    Some(REQ_PING) => conn.send(
-                        &Response { seq: this_seq, status: Status::Pong, detail: String::new() },
-                        counters,
-                        rec,
-                    ),
-                    Some(REQ_STATS) => {
-                        let mode = frame.get(1).copied().unwrap_or(0);
-                        conn.send(
-                            &Response {
-                                seq: this_seq,
-                                status: Status::Stats,
-                                detail: obs.render(mode),
-                            },
-                            counters,
-                            rec,
-                        );
-                    }
-                    Some(REQ_SHUTDOWN) => {
-                        conn.send(
-                            &Response {
-                                seq: this_seq,
-                                status: Status::ShutdownAck,
-                                detail: String::new(),
-                            },
-                            counters,
-                            rec,
-                        );
-                        if let Ok(mut slot) = stats_conn.lock() {
-                            *slot = Some(Arc::clone(&conn));
-                        }
-                        obs.flight_event("shutdown", conn.id, this_seq, "shutdown", String::new());
-                        shutdown.request();
-                        break;
-                    }
-                    tag => {
-                        counters.malformed.fetch_add(1, Ordering::Relaxed);
-                        counter(rec, this_seq, SpanId::new("serve/request"), "malformed", 1);
-                        conn.send(
-                            &Response {
-                                seq: this_seq,
-                                status: Status::Malformed,
-                                detail: format!("unknown request tag {tag:?}"),
-                            },
-                            counters,
-                            rec,
-                        );
-                    }
-                }
-            }
-            Err(e) => {
-                if shutdown.requested() {
-                    // The drain's read-shutdown can surface as an error
-                    // mid-frame; that is not a peer fault.
-                    break;
-                }
-                let class = fault_class(e.kind());
-                counters.conn_faults.fetch_add(1, Ordering::Relaxed);
-                counter(rec, conn.id, SpanId::new("serve/conn"), class, 1);
-                obs.flight_event("conn-fault", conn.id, seq, class, e.to_string());
-                // The fault response carries the seq the faulted frame
-                // would have had.
-                conn.send(
-                    &Response { seq, status: Status::ConnError, detail: format!("{class}: {e}") },
-                    counters,
-                    rec,
-                );
-                break;
-            }
+) -> std::io::Result<ServeStats> {
+    listener.set_nonblocking(true)?;
+    let (result, stats) =
+        run_pool(cfg, rec, shutdown, |pool, jobs_tx| pool.accept_and_drain(&listener, jobs_tx));
+    result.map(|()| stats)
+}
+
+/// Serves one framed request stream as a single in-process connection
+/// (`pdip serve --stdin`): reads `input` to EOF or [`REQ_SHUTDOWN`] with
+/// no read deadline (a pipe has no hostile peer), then writes every
+/// response to `output` sorted by seq, so the output is byte-identical
+/// at any worker count. A frame-level fault in the input is returned as
+/// an error and nothing is written.
+pub fn serve_pipe(
+    cfg: &ServeConfig,
+    input: &mut dyn Read,
+    output: &mut dyn Write,
+    rec: &dyn Recorder,
+) -> std::io::Result<ServeStats> {
+    let (read, stats) = run_pool(cfg, rec, &ShutdownFlag::new(), |pool, jobs_tx| {
+        let conn = pool.open(Sink::Collect(Vec::new()));
+        match pool.read_connection(input, None, &conn, jobs_tx) {
+            Some(fault) => Err(fault),
+            None => Ok(conn),
         }
+    });
+    // The workers have been joined, so every response is collected.
+    for r in read?.take_collected() {
+        write_frame(output, &encode_response(&r))?;
     }
+    output.flush()?;
+    Ok(stats)
 }
 
 /// Binds `127.0.0.1:port` (0 picks a free port), prints the bound

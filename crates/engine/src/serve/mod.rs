@@ -2,24 +2,21 @@
 //!
 //! Clients submit serialized [`Transcript`] blobs (see `pdip-wire`) over
 //! a length-prefixed frame stream and get back one response per request.
-//! Two front-ends share this module's verification core:
+//! Every request goes through one pipeline, the live worker pool in
+//! [`live`]: connection readers feed a bounded worker queue with
+//! backpressure (a full queue answers [`Status::Busy`] instead of
+//! stalling the stream), each verification runs behind `catch_unwind`
+//! (a panicking replay is reported, never fatal), and a run may be
+//! classified [`Status::Deadline`] post-hoc, reusing the sweep engine's
+//! watchdog semantics.
 //!
-//! * **Batch** ([`serve_stream`], used by `--stdin` pipes and the E12
-//!   smoke): one framed stream is read to EOF, every request is pushed
-//!   through [`process_batch`], and all responses are written back
-//!   sorted by sequence number — byte-identical at any worker count.
-//! * **Concurrent** ([`live`], used by TCP): a long-lived accept loop
-//!   feeds per-connection reader threads into one shared worker pool,
-//!   responses stream back as each request completes (clients reorder
-//!   by seq), and connection faults are isolated per connection. See
-//!   the [`live`] module docs for the lifecycle and drain semantics.
-//!
-//! In both modes, requests feed a bounded worker queue with
-//! backpressure: when the queue is full a request is rejected with
-//! [`Status::Busy`] instead of stalling the stream. Each verification
-//! runs behind `catch_unwind` (a panicking replay is reported, never
-//! fatal) and may be classified [`Status::Deadline`] post-hoc, reusing
-//! the sweep engine's watchdog semantics.
+//! The pool has two front-ends: TCP ([`serve_concurrent`], where
+//! responses stream back as each request completes and clients reorder
+//! by seq) and a pipe ([`serve_pipe`], `pdip serve --stdin`, one
+//! in-process connection whose responses are written sorted by seq).
+//! The E12 smoke, like the E13 and E14 audits, drives a live TCP server
+//! through the shared helpers in `harness`. See the [`live`] module docs
+//! for the connection lifecycle and drain semantics.
 //!
 //! # Frame protocol (all integers little-endian)
 //!
@@ -32,25 +29,23 @@
 //! code points, which the CLI maps onto distinct exit codes
 //! (`malformed transcript` ≠ `verifier rejected`).
 
+pub(crate) mod harness;
 pub mod live;
 pub mod obs;
 
-use crate::pool::PanicSilencer;
 use crate::report::render_table;
-use pdip_obs::{counter, span, NoopRecorder, Recorder, ScopedRecorder, SpanId, TeeRecorder};
+use pdip_obs::{counter, span, Recorder, SpanId};
 pub use pdip_wire::frame::{
     fault_class, read_frame, read_frame_deadline, read_frame_limited, write_frame,
 };
 use pdip_wire::{fnv1a64, Transcript, VerifyOutcome};
-use std::io::{Read, Write};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::mpsc::{sync_channel, TrySendError};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread;
 use std::time::{Duration, Instant};
 
-pub use live::{serve_concurrent, serve_tcp, spawn_server, ServerHandle, ShutdownFlag};
+pub use live::{serve_concurrent, serve_pipe, serve_tcp, spawn_server, ServerHandle, ShutdownFlag};
 pub use obs::{ServeObs, DEFAULT_FLIGHT_CAP, DEFAULT_SLOW_THRESHOLD};
 
 /// Default hard cap on one frame's payload (the E12-era constant; now
@@ -186,10 +181,9 @@ pub struct ServeConfig {
     /// rejected before any allocation. Defaults to [`MAX_FRAME`] (the
     /// E12-era constant), overridable via `--max-frame-bytes`.
     pub max_frame_bytes: usize,
-    /// Per-frame read deadline of the concurrent front-end: the total
-    /// wall time one frame may take to arrive (slow-loris bound). The
-    /// batch front-end ([`serve_stream`]) ignores it — pipes have no
-    /// hostile peers.
+    /// Per-frame read deadline of a TCP connection: the total wall time
+    /// one frame may take to arrive (slow-loris bound). Pipes
+    /// ([`serve_pipe`]) ignore it — they have no hostile peers.
     pub read_deadline: Option<Duration>,
     /// How long a graceful shutdown waits for in-flight requests before
     /// stamping the final stats frame `drained=timeout`. Queued work is
@@ -203,10 +197,10 @@ pub struct ServeConfig {
     /// each job, making busy-storm rejection counts deterministic.
     pub hold: Option<Gate>,
     /// Live observability bridge shared with the caller: metrics
-    /// registry + flight recorder (see [`ServeObs`]). The concurrent
-    /// front-end creates a private one when `None`, so [`REQ_STATS`]
-    /// always answers; pass a shared handle to read snapshots from
-    /// outside (as `pdip obs-audit` does).
+    /// registry + flight recorder (see [`ServeObs`]). The pool creates
+    /// a private one when `None`, so [`REQ_STATS`] always answers; pass
+    /// a shared handle to read snapshots from outside (as `pdip
+    /// obs-audit` does).
     pub obs: Option<Arc<ServeObs>>,
 }
 
@@ -226,9 +220,9 @@ impl Default for ServeConfig {
     }
 }
 
-/// A gate the E12 busy probe uses to hold all workers idle while the
-/// submission side fills the bounded queue, making busy-rejection
-/// deterministic instead of racing the workers.
+/// A gate ([`ServeConfig::hold`]) the busy probes use to hold all
+/// workers idle while a connection fills the bounded queue, making
+/// busy-rejection deterministic instead of racing the workers.
 #[derive(Debug, Clone, Default)]
 pub struct Gate {
     inner: Arc<(Mutex<bool>, Condvar)>,
@@ -257,13 +251,7 @@ impl Gate {
     }
 }
 
-struct Job {
-    seq: u64,
-    blob: Vec<u8>,
-    enqueued: Instant,
-}
-
-/// Counts of one batch, folded from its responses.
+/// Aggregate counts of one server's (or pipe's) lifetime.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ServeStats {
     /// Requests answered [`Status::Accept`].
@@ -279,32 +267,12 @@ pub struct ServeStats {
     /// Verifications that panicked (counted, never fatal).
     pub panics: u64,
     /// Connections torn down by a frame-level fault (truncated frame,
-    /// oversized length, stall, peer reset). Concurrent front-end only.
+    /// oversized length, stall, peer reset).
     pub conn_faults: u64,
     /// Response writes that failed because the peer was gone.
-    /// Concurrent front-end only.
     pub io_errors: u64,
-    /// Connections accepted. Concurrent front-end only.
+    /// Connections opened (a pipe counts as one).
     pub connections: u64,
-}
-
-impl ServeStats {
-    /// Folds response statuses into counts (panics are counted by the
-    /// worker, not derivable from statuses).
-    pub fn fold(responses: &[Response]) -> ServeStats {
-        let mut s = ServeStats::default();
-        for r in responses {
-            match r.status {
-                Status::Accept => s.accepted += 1,
-                Status::Reject => s.rejected += 1,
-                Status::Malformed => s.malformed += 1,
-                Status::Busy => s.busy += 1,
-                Status::Deadline => s.deadline += 1,
-                Status::ShutdownAck | Status::Pong | Status::ConnError | Status::Stats => {}
-            }
-        }
-        s
-    }
 }
 
 /// The chaos panic-injection blob for `token`: [`PANIC_MAGIC`]
@@ -321,8 +289,7 @@ pub fn panic_blob(token: u64) -> Vec<u8> {
 /// Runs one verification the way a worker does: panic-token check,
 /// `catch_unwind` isolation (panic → [`Status::Malformed`] with a
 /// `panic:` detail, counted into `panics`), then post-hoc deadline
-/// classification. Shared by [`process_batch`] and the concurrent
-/// front-end so both report identical statuses for identical blobs.
+/// classification. The worker body of the pool in [`live`].
 pub(crate) fn verify_guarded(
     blob: &[u8],
     panic_token: Option<u64>,
@@ -410,92 +377,6 @@ pub fn verify_blob(blob: &[u8], rec: &dyn Recorder) -> (Status, String) {
     }
 }
 
-/// Pushes a batch of verification requests through a bounded worker
-/// pool and returns one [`Response`] per request, sorted by sequence
-/// number (deterministic at any `threads`).
-///
-/// Submission happens on the calling thread with `try_send`: a full
-/// queue yields an immediate [`Status::Busy`] response — backpressure,
-/// not blocking. `gate`, when given, holds workers idle until opened
-/// (after the submission loop), which the E12 smoke uses to exercise
-/// the busy path deterministically. Panicking verifications are
-/// answered [`Status::Malformed`] with a `panic:` detail and counted
-/// in the returned stats.
-pub fn process_batch(
-    cfg: &ServeConfig,
-    requests: Vec<(u64, Vec<u8>)>,
-    gate: Option<&Gate>,
-    rec: &dyn Recorder,
-) -> (Vec<Response>, ServeStats) {
-    let threads = cfg.threads.max(1);
-    let deadline = cfg.deadline;
-    let _silencer = PanicSilencer::engage();
-    let panics = AtomicU64::new(0);
-    let (jobs_tx, jobs_rx) = sync_channel::<Job>(cfg.queue_cap.max(1));
-    let jobs_rx = Mutex::new(jobs_rx);
-    let (res_tx, res_rx) = std::sync::mpsc::channel::<Response>();
-
-    let mut responses = thread::scope(|s| {
-        for _ in 0..threads {
-            let res_tx = res_tx.clone();
-            let jobs_rx = &jobs_rx;
-            let panics = &panics;
-            s.spawn(move || loop {
-                if let Some(g) = gate {
-                    g.wait_open();
-                }
-                let job = match jobs_rx.lock() {
-                    Ok(rx) => rx.recv(),
-                    Err(_) => break,
-                };
-                let Ok(job) = job else { break };
-                let job_rec = ScopedRecorder::new(rec, job.seq);
-                if job_rec.enabled() {
-                    let waited = job.enqueued.elapsed().as_nanos();
-                    job_rec.duration("serve/queue-wait", u64::try_from(waited).unwrap_or(u64::MAX));
-                }
-                let (status, detail) =
-                    verify_guarded(&job.blob, cfg.panic_token, deadline, &job_rec, panics);
-                counter(&job_rec, job.seq, SpanId::new("serve/request"), status.name(), 1);
-                if res_tx.send(Response { seq: job.seq, status, detail }).is_err() {
-                    break;
-                }
-            });
-        }
-        drop(res_tx);
-
-        let mut busy = Vec::new();
-        for (seq, blob) in requests {
-            let mut job = Job { seq, blob, enqueued: Instant::now() };
-            match jobs_tx.try_send(job) {
-                Ok(()) => {}
-                Err(TrySendError::Full(j)) => {
-                    job = j;
-                    counter(rec, job.seq, SpanId::new("serve/request"), "busy", 1);
-                    busy.push(Response {
-                        seq: job.seq,
-                        status: Status::Busy,
-                        detail: "queue full".into(),
-                    });
-                }
-                Err(TrySendError::Disconnected(_)) => break,
-            }
-        }
-        drop(jobs_tx);
-        if let Some(g) = gate {
-            g.open();
-        }
-        let mut responses: Vec<Response> = res_rx.iter().collect();
-        responses.append(&mut busy);
-        responses
-    });
-
-    responses.sort_by_key(|r| r.seq);
-    let mut stats = ServeStats::fold(&responses);
-    stats.panics = panics.load(Ordering::Relaxed);
-    (responses, stats)
-}
-
 /// Encodes a [`Response`] payload.
 pub fn encode_response(r: &Response) -> Vec<u8> {
     let mut out = Vec::with_capacity(13 + r.detail.len());
@@ -521,74 +402,6 @@ pub fn decode_response(payload: &[u8]) -> Option<Response> {
     Some(Response { seq, status, detail })
 }
 
-/// Drives one framed request stream end-to-end: reads frames until EOF
-/// or [`REQ_SHUTDOWN`], pushes every verify request through
-/// [`process_batch`], and writes all responses back sorted by sequence
-/// number. Returns the batch stats and whether a shutdown frame was
-/// seen (the TCP accept loop stops on it).
-pub fn serve_stream(
-    cfg: &ServeConfig,
-    input: &mut dyn Read,
-    output: &mut dyn Write,
-    rec: &dyn Recorder,
-) -> std::io::Result<(ServeStats, bool)> {
-    let mut seq = 0u64;
-    let mut verifies = Vec::new();
-    let mut immediate = Vec::new();
-    // Stats requests are answered after the batch so the snapshot
-    // reflects it: `(seq, render mode)`.
-    let mut stats_reqs: Vec<(u64, u8)> = Vec::new();
-    let mut shutdown = false;
-    while let Some(frame) = read_frame(input)? {
-        let this_seq = seq;
-        seq += 1;
-        match frame.first().copied() {
-            Some(REQ_VERIFY) => verifies.push((this_seq, frame[1..].to_vec())),
-            Some(REQ_PING) => immediate.push(Response {
-                seq: this_seq,
-                status: Status::Pong,
-                detail: String::new(),
-            }),
-            Some(REQ_STATS) => stats_reqs.push((this_seq, frame.get(1).copied().unwrap_or(0))),
-            Some(REQ_SHUTDOWN) => {
-                immediate.push(Response {
-                    seq: this_seq,
-                    status: Status::ShutdownAck,
-                    detail: String::new(),
-                });
-                shutdown = true;
-                break;
-            }
-            tag => immediate.push(Response {
-                seq: this_seq,
-                status: Status::Malformed,
-                detail: format!("unknown request tag {tag:?}"),
-            }),
-        }
-    }
-    let (mut responses, stats) = match &cfg.obs {
-        Some(o) => {
-            let tee = TeeRecorder::new(rec, o.as_ref());
-            process_batch(cfg, verifies, None, &tee)
-        }
-        None => process_batch(cfg, verifies, None, rec),
-    };
-    for (stat_seq, mode) in stats_reqs {
-        let detail = match &cfg.obs {
-            Some(o) => o.render(mode),
-            None => String::new(),
-        };
-        responses.push(Response { seq: stat_seq, status: Status::Stats, detail });
-    }
-    responses.append(&mut immediate);
-    responses.sort_by_key(|r| r.seq);
-    for r in &responses {
-        write_frame(output, &encode_response(r))?;
-    }
-    output.flush()?;
-    Ok((stats, shutdown))
-}
-
 // ---------------------------------------------------------------------
 // E12: serve throughput smoke audit
 // ---------------------------------------------------------------------
@@ -598,7 +411,8 @@ pub fn serve_stream(
 pub struct ServeSmokeReport {
     /// One line per request of the mixed batch, in sequence order.
     pub lines: Vec<String>,
-    /// Stats of the mixed batch (at every compared thread count).
+    /// Server stats of the mixed batch at the first compared thread
+    /// count.
     pub stats: ServeStats,
     /// Requests submitted to the gated busy probe.
     pub probe_submitted: u64,
@@ -706,27 +520,47 @@ pub fn smoke_requests(base_seed: u64) -> Vec<(u64, Vec<u8>)> {
     blobs.into_iter().enumerate().map(|(i, b)| (i as u64, b)).collect()
 }
 
-/// Runs the E12 serve smoke: a deterministic gated busy probe plus a
-/// ≥100-request mixed batch executed at every thread count in
-/// `threads`, whose response records must be byte-identical.
+/// Runs the E12 serve smoke against live servers: a deterministic gated
+/// busy probe plus the ≥100-request mixed batch streamed at every
+/// thread count in `threads`, whose response records must be
+/// byte-identical.
 pub fn run_serve_smoke(threads: &[usize], base_seed: u64) -> ServeSmokeReport {
     let mut failures = Vec::new();
 
     // --- Gated busy probe: queue bound 4, 8 requests, workers held ---
     let probe_cap = 4usize;
     let probe_n = 8u64;
-    let probe_reqs =
-        smoke_requests(base_seed ^ 0x9999).into_iter().take(probe_n as usize).collect::<Vec<_>>();
+    let probe_blobs: Vec<Vec<u8>> = smoke_requests(base_seed ^ 0x9999)
+        .into_iter()
+        .take(probe_n as usize)
+        .map(|(_, blob)| blob)
+        .collect();
     let gate = Gate::closed();
-    let probe_cfg =
-        ServeConfig { threads: 2, queue_cap: probe_cap, deadline: None, ..ServeConfig::default() };
-    let (probe_responses, probe_stats) =
-        process_batch(&probe_cfg, probe_reqs, Some(&gate), &NoopRecorder);
+    let probe_cfg = ServeConfig {
+        threads: 2,
+        queue_cap: probe_cap,
+        deadline: None,
+        hold: Some(gate.clone()),
+        ..ServeConfig::default()
+    };
+    let probe = spawn_server(probe_cfg).map_err(|e| format!("spawn: {e}")).and_then(|server| {
+        let storm = harness::held_storm(server.port(), &gate, probe_cap, &probe_blobs);
+        gate.open();
+        server.stop().map_err(|e| format!("stop: {e}"))?;
+        storm
+    });
+    let probe_responses = match probe {
+        Ok((early, late)) => [early, late].concat(),
+        Err(e) => {
+            failures.push(format!("busy probe: {e}"));
+            Vec::new()
+        }
+    };
+    let probe_busy = probe_responses.iter().filter(|r| r.status == Status::Busy).count() as u64;
     let expect_busy = probe_n - probe_cap as u64;
-    if probe_stats.busy != expect_busy {
+    if probe_busy != expect_busy {
         failures.push(format!(
-            "busy probe: expected exactly {expect_busy} busy rejections, got {}",
-            probe_stats.busy
+            "busy probe: expected exactly {expect_busy} busy rejections, got {probe_busy}"
         ));
     }
     if probe_responses.len() as u64 != probe_n {
@@ -737,27 +571,15 @@ pub fn run_serve_smoke(threads: &[usize], base_seed: u64) -> ServeSmokeReport {
     }
 
     // --- Mixed batch at every thread count ---
-    let requests = smoke_requests(base_seed);
-    let total = requests.len();
-    if total < 100 {
-        failures.push(format!("request mix too small: {total} < 100"));
-    }
     let mut streams: Vec<(usize, Vec<String>, ServeStats)> = Vec::new();
     for &t in threads {
-        let cfg = ServeConfig {
-            threads: t,
-            queue_cap: total.max(1),
-            deadline: None,
-            ..ServeConfig::default()
+        let (lines, stats) = match harness::mix_records(base_seed, t) {
+            Ok(run) => run,
+            Err(e) => {
+                failures.push(format!("mixed batch at threads={t}: {e}"));
+                continue;
+            }
         };
-        let (responses, stats) = process_batch(&cfg, requests.clone(), None, &NoopRecorder);
-        let lines: Vec<String> = responses
-            .iter()
-            .map(|r| {
-                let detail = if r.detail.is_empty() { "-" } else { r.detail.as_str() };
-                format!("seq={:03} status={} detail={}", r.seq, r.status.name(), detail)
-            })
-            .collect();
         if stats.panics > 0 {
             failures.push(format!("{} verification panics at threads={t}", stats.panics));
         }
@@ -771,7 +593,11 @@ pub fn run_serve_smoke(threads: &[usize], base_seed: u64) -> ServeSmokeReport {
         Some((_, l, s)) => (l.clone(), *s),
         None => (Vec::new(), ServeStats::default()),
     };
-    let deterministic = streams.iter().all(|(_, l, _)| *l == first_lines);
+    if first_lines.len() < 100 {
+        failures.push(format!("request mix too small: {} < 100", first_lines.len()));
+    }
+    let deterministic =
+        streams.len() == threads.len() && streams.iter().all(|(_, l, _)| *l == first_lines);
     if !deterministic {
         failures.push("response records differ across thread counts".into());
     }
@@ -787,7 +613,7 @@ pub fn run_serve_smoke(threads: &[usize], base_seed: u64) -> ServeSmokeReport {
         lines: first_lines,
         stats: first_stats,
         probe_submitted: probe_n,
-        probe_busy: probe_stats.busy,
+        probe_busy,
         probe_queue_cap: probe_cap as u64,
         threads_compared: threads.to_vec(),
         deterministic,
@@ -856,81 +682,60 @@ impl ServeSmokeReport {
 
 #[cfg(test)]
 mod tests {
+    use super::harness::{honest_blob, verify_frame};
     use super::*;
-    use crate::family::{Family, YesInstance};
-    use pdip_protocols::{PopParams, Transport};
-    use pdip_wire::WireInstance;
+    use pdip_obs::NoopRecorder;
 
-    fn honest_blob(seed: u64) -> Vec<u8> {
-        let inst = match YesInstance::generate(Family::PathOuterplanar, 20, seed) {
-            YesInstance::Pop(i) => WireInstance::Pop(i),
-            _ => unreachable!(),
-        };
-        pdip_wire::Transcript::record(
-            inst,
-            PopParams::default(),
-            Transport::Simulated,
-            0,
-            seed,
-            seed ^ 1,
-        )
-        .encode()
-    }
-
-    #[test]
-    fn batch_accepts_honest_and_flags_malformed() {
-        let good = honest_blob(5);
-        let mut bad = good.clone();
-        bad.truncate(bad.len() / 2);
-        let cfg = ServeConfig { threads: 2, queue_cap: 8, deadline: None, ..Default::default() };
-        let (responses, stats) =
-            process_batch(&cfg, vec![(0, good), (1, bad)], None, &NoopRecorder);
-        assert_eq!(responses.len(), 2);
-        assert_eq!(responses[0].status, Status::Accept);
-        assert_eq!(responses[1].status, Status::Malformed);
-        assert_eq!(stats.accepted, 1);
-        assert_eq!(stats.malformed, 1);
-        assert_eq!(stats.panics, 0);
-    }
-
-    #[test]
-    fn gated_queue_rejects_overflow_busy() {
-        let blob = honest_blob(6);
-        let reqs: Vec<_> = (0..6u64).map(|i| (i, blob.clone())).collect();
-        let gate = Gate::closed();
-        let cfg = ServeConfig { threads: 2, queue_cap: 2, deadline: None, ..Default::default() };
-        let (responses, stats) = process_batch(&cfg, reqs, Some(&gate), &NoopRecorder);
-        assert_eq!(responses.len(), 6);
-        assert_eq!(stats.busy, 4, "queue bound 2 must busy-reject 4 of 6");
-        assert_eq!(stats.accepted, 2);
-    }
-
-    #[test]
-    fn stream_roundtrip_with_ping_and_shutdown() {
-        let good = honest_blob(7);
+    /// Feeds `frames` through the pipe front-end and decodes its output.
+    fn pipe(cfg: &ServeConfig, frames: &[Vec<u8>]) -> (Vec<Response>, ServeStats) {
         let mut input = Vec::new();
-        let mut verify_frame = vec![REQ_VERIFY];
-        verify_frame.extend_from_slice(&good);
-        write_frame(&mut input, &[REQ_PING]).unwrap();
-        write_frame(&mut input, &verify_frame).unwrap();
-        write_frame(&mut input, &[REQ_SHUTDOWN]).unwrap();
+        for f in frames {
+            write_frame(&mut input, f).unwrap();
+        }
         let mut output = Vec::new();
-        let cfg = ServeConfig { threads: 1, queue_cap: 4, deadline: None, ..Default::default() };
-        let (stats, shutdown) =
-            serve_stream(&cfg, &mut std::io::Cursor::new(input), &mut output, &NoopRecorder)
-                .unwrap();
-        assert!(shutdown);
-        assert_eq!(stats.accepted, 1);
-        let mut cur = std::io::Cursor::new(output);
+        let stats = serve_pipe(cfg, &mut input.as_slice(), &mut output, &NoopRecorder).unwrap();
+        let mut cur = output.as_slice();
         let mut responses = Vec::new();
         while let Some(f) = read_frame(&mut cur).unwrap() {
             responses.push(decode_response(&f).expect("response decodes"));
         }
+        (responses, stats)
+    }
+
+    #[test]
+    fn stream_roundtrip_with_ping_and_shutdown() {
+        let cfg = ServeConfig { threads: 1, queue_cap: 4, deadline: None, ..Default::default() };
+        // The trailing ping follows the shutdown frame and is never read.
+        let frames =
+            [vec![REQ_PING], verify_frame(&honest_blob(7)), vec![REQ_SHUTDOWN], vec![REQ_PING]];
+        let (responses, stats) = pipe(&cfg, &frames);
+        assert_eq!(stats.accepted, 1);
         assert_eq!(responses.len(), 3);
         assert_eq!(responses[0].status, Status::Pong);
         assert_eq!(responses[1].status, Status::Accept);
         assert_eq!(responses[2].status, Status::ShutdownAck);
         assert_eq!(responses.iter().map(|r| r.seq).collect::<Vec<_>>(), vec![0, 1, 2]);
+    }
+
+    #[test]
+    fn pipe_answers_stats_live_and_counts_unknown_tags_malformed() {
+        let cfg = ServeConfig { threads: 1, queue_cap: 4, ..Default::default() };
+        let (responses, stats) = pipe(&cfg, &[vec![REQ_STATS], vec![0x66]]);
+        assert_eq!(responses[0].status, Status::Stats);
+        assert!(responses[0].detail.contains("connections_total 1"), "{}", responses[0].detail);
+        assert_eq!(responses[1].status, Status::Malformed);
+        assert_eq!(stats.malformed, 1);
+    }
+
+    #[test]
+    fn truncated_pipe_input_is_an_error() {
+        let mut input = 64u32.to_le_bytes().to_vec();
+        input.extend_from_slice(&[REQ_PING; 8]);
+        let cfg = ServeConfig { threads: 1, ..Default::default() };
+        let mut output = Vec::new();
+        let err = serve_pipe(&cfg, &mut input.as_slice(), &mut output, &NoopRecorder).unwrap_err();
+        assert_eq!(err.kind(), std::io::ErrorKind::UnexpectedEof);
+        assert!(output.is_empty());
     }
 
     #[test]
@@ -949,20 +754,9 @@ mod tests {
             deadline: Some(Duration::from_nanos(0)),
             ..Default::default()
         };
-        let (responses, stats) =
-            process_batch(&cfg, vec![(0, honest_blob(9))], None, &NoopRecorder);
+        let (responses, stats) = pipe(&cfg, &[verify_frame(&honest_blob(9))]);
         assert_eq!(responses[0].status, Status::Deadline);
         assert!(responses[0].detail.contains("completed as accept"));
         assert_eq!(stats.deadline, 1);
-    }
-
-    #[test]
-    fn responses_are_thread_count_invariant() {
-        let reqs: Vec<_> = (0..6u64).map(|i| (i, honest_blob(20 + i % 2))).collect();
-        let run = |threads| {
-            let cfg = ServeConfig { threads, queue_cap: 16, deadline: None, ..Default::default() };
-            process_batch(&cfg, reqs.clone(), None, &NoopRecorder).0
-        };
-        assert_eq!(run(1), run(4));
     }
 }

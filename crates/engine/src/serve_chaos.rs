@@ -33,13 +33,17 @@
 use crate::chaos::Mutator;
 use crate::report::render_table;
 use crate::seed::sub_seed;
+use crate::serve::harness::{
+    connect, held_storm, honest_blob, mix_records, read_responses, send_verifies, verify_frame,
+};
 use crate::serve::{
-    decode_response, panic_blob, read_frame, smoke_requests, spawn_server, write_frame, Gate,
-    Response, ServeConfig, Status, REQ_SHUTDOWN, REQ_VERIFY,
+    decode_response, panic_blob, read_frame, spawn_server, write_frame, Gate, ServeConfig, Status,
+    REQ_SHUTDOWN,
 };
 use pdip_wire::{fnv1a64, frame::fault};
 use std::io::Write;
-use std::net::{Shutdown, TcpStream};
+use std::iter::repeat_n;
+use std::net::Shutdown;
 use std::time::{Duration, Instant};
 
 /// Base seed of the committed E13 artifacts.
@@ -146,56 +150,6 @@ pub struct ServeChaosReport {
     pub failures: Vec<String>,
 }
 
-fn connect(port: u16) -> std::io::Result<TcpStream> {
-    let s = TcpStream::connect(("127.0.0.1", port))?;
-    s.set_read_timeout(Some(Duration::from_secs(10)))?;
-    Ok(s)
-}
-
-fn verify_frame(blob: &[u8]) -> Vec<u8> {
-    let mut f = Vec::with_capacity(1 + blob.len());
-    f.push(REQ_VERIFY);
-    f.extend_from_slice(blob);
-    f
-}
-
-/// Reads exactly `n` response frames and returns them sorted by seq.
-fn read_responses(stream: &mut TcpStream, n: usize) -> Result<Vec<Response>, String> {
-    let mut out = Vec::with_capacity(n);
-    for i in 0..n {
-        match read_frame(stream) {
-            Ok(Some(p)) => match decode_response(&p) {
-                Some(r) => out.push(r),
-                None => return Err(format!("undecodable response frame {i}")),
-            },
-            Ok(None) => return Err(format!("EOF after {i}/{n} responses")),
-            Err(e) => return Err(format!("recv {i}/{n}: {e}")),
-        }
-    }
-    out.sort_by_key(|r| r.seq);
-    Ok(out)
-}
-
-/// A small honest transcript blob (accepts under replay).
-fn honest_blob(seed: u64) -> Vec<u8> {
-    use crate::family::{Family, YesInstance};
-    use pdip_protocols::{PopParams, Transport};
-    use pdip_wire::WireInstance;
-    let inst = match YesInstance::generate(Family::PathOuterplanar, 16, seed) {
-        YesInstance::Pop(i) => WireInstance::Pop(i),
-        _ => unreachable!("PathOuterplanar generates Pop"),
-    };
-    pdip_wire::Transcript::record(
-        inst,
-        PopParams::default(),
-        Transport::Simulated,
-        0,
-        seed,
-        seed ^ 1,
-    )
-    .encode()
-}
-
 /// Runs `victims` honest requests on their own connection; returns how
 /// many accepted, or an error string on transport failure.
 fn victim_roundtrip(port: u16, victims: usize, seed: u64) -> Result<u64, String> {
@@ -204,10 +158,7 @@ fn victim_roundtrip(port: u16, victims: usize, seed: u64) -> Result<u64, String>
     }
     let blob = honest_blob(seed);
     let mut s = connect(port).map_err(|e| format!("victim connect: {e}"))?;
-    for _ in 0..victims {
-        write_frame(&mut s, &verify_frame(&blob)).map_err(|e| format!("victim send: {e}"))?;
-    }
-    s.flush().map_err(|e| format!("victim flush: {e}"))?;
+    send_verifies(&mut s, repeat_n(&blob, victims)).map_err(|e| format!("victim {e}"))?;
     let responses = read_responses(&mut s, victims)?;
     Ok(responses.iter().filter(|r| r.status == Status::Accept).count() as u64)
 }
@@ -343,11 +294,7 @@ fn run_trial(class: &'static str, spec: &ServeChaosSpec, seed: u64) -> CellOutco
             // The panic-injection blob, then an honest request on the
             // same connection: the panic poisons only its own request.
             let mut s = connect(port).map_err(|e| e.to_string())?;
-            write_frame(&mut s, &verify_frame(&panic_blob(0xdead_beef)))
-                .map_err(|e| e.to_string())?;
-            write_frame(&mut s, &verify_frame(&honest_blob(seed ^ 0x9a)))
-                .map_err(|e| e.to_string())?;
-            s.flush().map_err(|e| e.to_string())?;
+            send_verifies(&mut s, [panic_blob(0xdead_beef), honest_blob(seed ^ 0x9a)])?;
             let r = read_responses(&mut s, 2)?;
             Ok(r[0].status == Status::Malformed
                 && r[0].detail.starts_with("panic:")
@@ -357,15 +304,7 @@ fn run_trial(class: &'static str, spec: &ServeChaosSpec, seed: u64) -> CellOutco
             // 12 requests into a held 4-slot queue: exactly 8 busy
             // rejections at deterministic seqs, then 4 verdicts once
             // the gate opens. Every request is answered.
-            let blob = honest_blob(seed ^ 0xb5);
-            let mut s = connect(port).map_err(|e| e.to_string())?;
-            for _ in 0..12 {
-                write_frame(&mut s, &verify_frame(&blob)).map_err(|e| e.to_string())?;
-            }
-            s.flush().map_err(|e| e.to_string())?;
-            let early = read_responses(&mut s, 8)?;
-            gate.open();
-            let late = read_responses(&mut s, 4)?;
+            let (early, late) = held_storm(port, &gate, 4, &vec![honest_blob(seed ^ 0xb5); 12])?;
             let busy_ok = early.iter().all(|r| r.status == Status::Busy)
                 && early.iter().map(|r| r.seq).eq(4u64..12);
             let verified = late.iter().filter(|r| r.status == Status::Accept).count() as u64;
@@ -421,27 +360,8 @@ fn run_trial(class: &'static str, spec: &ServeChaosSpec, seed: u64) -> CellOutco
 /// worker threads and returns `(record digest, request count)`. Public
 /// so the freshness test can replay it against the committed digest.
 pub fn determinism_probe(base_seed: u64, threads: usize) -> Result<(u64, usize), String> {
-    let requests = smoke_requests(base_seed);
-    let n = requests.len();
-    let cfg =
-        ServeConfig { threads, queue_cap: n.max(1), deadline: None, ..ServeConfig::default() };
-    let server = spawn_server(cfg).map_err(|e| format!("spawn: {e}"))?;
-    let mut s = connect(server.port()).map_err(|e| format!("connect: {e}"))?;
-    for (_seq, blob) in &requests {
-        write_frame(&mut s, &verify_frame(blob)).map_err(|e| format!("send: {e}"))?;
-    }
-    s.flush().map_err(|e| format!("flush: {e}"))?;
-    let responses = read_responses(&mut s, n)?;
-    drop(s);
-    server.stop().map_err(|e| format!("stop: {e}"))?;
-    let lines: Vec<String> = responses
-        .iter()
-        .map(|r| {
-            let detail = if r.detail.is_empty() { "-" } else { r.detail.as_str() };
-            format!("seq={:03} status={} detail={}", r.seq, r.status.name(), detail)
-        })
-        .collect();
-    Ok((fnv1a64(lines.join("\n").as_bytes()), n))
+    let (lines, _) = mix_records(base_seed, threads)?;
+    Ok((fnv1a64(lines.join("\n").as_bytes()), lines.len()))
 }
 
 /// Drain probe: requests queued behind a held gate must all be answered
@@ -461,9 +381,7 @@ fn drain_probe(seed: u64) -> Result<(u64, u64, bool), String> {
     let blob = honest_blob(seed);
     let mut s = connect(server.port()).map_err(|e| format!("connect: {e}"))?;
     let n = 16u64;
-    for _ in 0..n {
-        write_frame(&mut s, &verify_frame(&blob)).map_err(|e| format!("send: {e}"))?;
-    }
+    send_verifies(&mut s, repeat_n(&blob, n as usize))?;
     write_frame(&mut s, &[REQ_SHUTDOWN]).map_err(|e| format!("send shutdown: {e}"))?;
     s.flush().map_err(|e| format!("flush: {e}"))?;
     // Workers are held, so the first frame back is the shutdown ack.
@@ -508,10 +426,7 @@ fn throughput_probe(seed: u64, n: usize) -> Result<(u64, f64), String> {
         let blob = blob.clone();
         handles.push(std::thread::spawn(move || -> Result<u64, String> {
             let mut s = connect(port).map_err(|e| format!("connect: {e}"))?;
-            for _ in 0..part {
-                write_frame(&mut s, &verify_frame(&blob)).map_err(|e| format!("send: {e}"))?;
-            }
-            s.flush().map_err(|e| format!("flush: {e}"))?;
+            send_verifies(&mut s, repeat_n(&blob, part))?;
             let r = read_responses(&mut s, part)?;
             Ok(r.iter().filter(|r| r.status == Status::Accept).count() as u64)
         }));

@@ -8,28 +8,10 @@
 
 use crate::record::SweepOutcome;
 use crate::spec::SweepSpec;
+use pdip_obs::export::esc;
 use std::fmt::Write as _;
 use std::io;
 use std::path::Path;
-
-/// Escapes a string for a JSON string literal.
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    for ch in s.chars() {
-        match ch {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out
-}
 
 /// Renders the deterministic aggregate document as a JSON string.
 pub fn aggregate_json(spec: &SweepSpec, outcome: &SweepOutcome) -> String {
@@ -85,7 +67,7 @@ pub fn aggregate_json(spec: &SweepSpec, outcome: &SweepOutcome) -> String {
                 f.trial,
                 f.attempts,
                 f.kind.name(),
-                json_escape(&f.payload),
+                esc(&f.payload),
             )
         })
         .collect();
@@ -207,7 +189,6 @@ mod tests {
 
     #[test]
     fn escaping_helpers() {
-        assert_eq!(json_escape("a\"b\\c\nd"), "a\\\"b\\\\c\\nd");
         assert_eq!(csv_escape("plain"), "plain");
         assert_eq!(csv_escape("a,b\"c"), "\"a,b\"\"c\"");
     }

@@ -3,8 +3,9 @@
 use crate::{EventKind, Trace};
 use std::fmt::Write as _;
 
-/// Escape a string for inclusion in a JSON string literal.
-pub(crate) fn esc(s: &str) -> String {
+/// Escapes a string for inclusion in a JSON string literal (quotes,
+/// backslashes, and every control character).
+pub fn esc(s: &str) -> String {
     let mut out = String::with_capacity(s.len());
     for c in s.chars() {
         match c {

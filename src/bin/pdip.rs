@@ -658,12 +658,10 @@ fn main() {
                     std::process::exit(1);
                 }
             } else if args.iter().any(|a| a == "--stdin") {
-                let mut stdin = std::io::stdin().lock();
-                let mut stdout = std::io::stdout().lock();
-                let (stats, _) = pdip_engine::serve_stream(
+                let stats = pdip_engine::serve_pipe(
                     &cfg,
-                    &mut stdin,
-                    &mut stdout,
+                    &mut std::io::stdin().lock(),
+                    &mut std::io::stdout().lock(),
                     &pdip_obs::NoopRecorder,
                 )
                 .expect("serving stdin stream");

@@ -16,26 +16,15 @@
 //! Regenerate with `cargo run --release --bin pdip -- trace` after any
 //! change to the protocols, the instrumentation, or the engine seeds.
 
+mod common;
+
+use common::field;
 use pdip_engine::{envelope_bits, execute_job_traced, Family, TraceSpec, WorkerScratch, FAMILIES};
 use pdip_obs::{CollectingRecorder, SpanId};
 
 fn committed_json() -> String {
     std::fs::read_to_string(concat!(env!("CARGO_MANIFEST_DIR"), "/results/e10_trace.json"))
         .expect("results/e10_trace.json must be committed; regenerate with `pdip trace`")
-}
-
-/// Extracts `"key": value` from one JSON line (the E10 schema is
-/// line-oriented: one cell object per line, scalar headers one per line).
-fn field<'a>(line: &'a str, key: &str) -> &'a str {
-    let pat = format!("\"{key}\": ");
-    let start =
-        line.find(&pat).unwrap_or_else(|| panic!("missing field {key:?} in: {line}")) + pat.len();
-    let rest = &line[start..];
-    let end = rest
-        .find(['}', ','])
-        .filter(|_| !rest.starts_with('['))
-        .unwrap_or_else(|| rest.find(']').map(|i| i + 1).unwrap_or(rest.len()));
-    rest[..end].trim().trim_matches('"')
 }
 
 /// Parses a `[a, b, c]` list field into integers.

@@ -23,33 +23,15 @@
 //! change to the protocols, the streaming generator, the shard combiner,
 //! or the seed derivation.
 
+mod common;
+
+use common::field;
 use pdip_engine::{digest_result, envelope_bits, sub_seed, verify_stream, Family, ScaleSpec};
 use pdip_graph::{StreamMode, StreamSkeleton};
 
 fn committed_json() -> String {
     std::fs::read_to_string(concat!(env!("CARGO_MANIFEST_DIR"), "/results/e11_scale.json"))
         .expect("results/e11_scale.json must be committed; regenerate with `pdip scale`")
-}
-
-/// Extracts `"key": value` from one JSON line (the E11 schema is
-/// line-oriented: one row object per line, scalar headers one per line).
-/// Handles the nested `overlap` object by cutting values at the first
-/// `,`/`}` only outside brackets.
-fn field<'a>(line: &'a str, key: &str) -> &'a str {
-    let pat = format!("\"{key}\": ");
-    let start =
-        line.find(&pat).unwrap_or_else(|| panic!("missing field {key:?} in: {line}")) + pat.len();
-    let rest = &line[start..];
-    let mut depth = 0usize;
-    for (i, c) in rest.char_indices() {
-        match c {
-            '{' | '[' => depth += 1,
-            '}' | ']' if depth > 0 => depth -= 1,
-            '}' | ',' if depth == 0 => return rest[..i].trim().trim_matches('"'),
-            _ => {}
-        }
-    }
-    rest.trim().trim_matches('"')
 }
 
 fn row_lines(json: &str) -> Vec<&str> {

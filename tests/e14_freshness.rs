@@ -30,37 +30,14 @@
 //! --smoke` after any change to the serve front-end, the metrics
 //! registry, or the flight recorder.
 
+mod common;
+
+use common::{field, section};
 use pdip_engine::{metrics_determinism_probe, E14_SEED};
 
 fn committed_json() -> String {
     std::fs::read_to_string(concat!(env!("CARGO_MANIFEST_DIR"), "/results/e14_obs.json"))
         .expect("results/e14_obs.json must be committed; regenerate with `pdip obs-audit --smoke`")
-}
-
-/// Extracts `"key": value` from one JSON line (the E14 schema is
-/// line-oriented: one fault object per line, nested sections on single
-/// lines). Values are cut at the first `,`/`}` outside brackets.
-fn field<'a>(line: &'a str, key: &str) -> &'a str {
-    let pat = format!("\"{key}\": ");
-    let start =
-        line.find(&pat).unwrap_or_else(|| panic!("missing field {key:?} in: {line}")) + pat.len();
-    let rest = &line[start..];
-    let mut depth = 0usize;
-    for (i, c) in rest.char_indices() {
-        match c {
-            '{' | '[' => depth += 1,
-            '}' | ']' if depth > 0 => depth -= 1,
-            '}' | ',' if depth == 0 => return rest[..i].trim().trim_matches('"'),
-            _ => {}
-        }
-    }
-    rest.trim().trim_matches('"')
-}
-
-fn section<'a>(json: &'a str, key: &str) -> &'a str {
-    json.lines()
-        .find(|l| l.trim_start().starts_with(&format!("\"{key}\"")))
-        .unwrap_or_else(|| panic!("missing section {key:?}"))
 }
 
 fn fault_lines(json: &str) -> Vec<&str> {

@@ -14,22 +14,14 @@
 //! Regenerate with `cargo run --release --bin pdip -- chaos` after any
 //! change to the protocols, the mutators, or the harness seeds.
 
+mod common;
+
+use common::field;
 use pdip_engine::chaos::{build_target, MUTATORS, TARGETS};
 
 fn committed_json() -> String {
     std::fs::read_to_string(concat!(env!("CARGO_MANIFEST_DIR"), "/results/e9_chaos.json"))
         .expect("results/e9_chaos.json must be committed; regenerate with `pdip chaos`")
-}
-
-/// Extracts `"key": value` from one JSON line (the E9 schema is
-/// line-oriented: one cell object per line, scalar headers one per line).
-fn field<'a>(line: &'a str, key: &str) -> &'a str {
-    let pat = format!("\"{key}\": ");
-    let start =
-        line.find(&pat).unwrap_or_else(|| panic!("missing field {key:?} in: {line}")) + pat.len();
-    let rest = &line[start..];
-    let end = rest.find([',', '}']).unwrap_or(rest.len());
-    rest[..end].trim().trim_matches('"')
 }
 
 #[test]
