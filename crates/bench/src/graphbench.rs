@@ -1,5 +1,4 @@
-//! Graph-substrate benchmarks behind `pdip bench-graph` and the
-//! `graph_substrate` criterion bench.
+//! Graph-substrate benchmarks behind `pdip bench-graph`.
 //!
 //! Five paired measurements over the frozen-CSR graph core, each timing
 //! the optimized path against the shape it replaced:
@@ -22,10 +21,11 @@
 //!
 //! Graph-shaped entries run at n ∈ {10³, 10⁴, 10⁵} (`--smoke` restricts
 //! to 10³ with a tiny time budget for CI). Inputs are seed-fixed, so only
-//! timings vary run to run. The JSON document written by
-//! `pdip bench-graph` is described in DESIGN.md §1.1.
+//! timings vary run to run. The document written by `pdip bench-graph`
+//! has schema [`crate::snapshot::GRAPH`] and is described in DESIGN.md
+//! §1.1.
 
-use crate::hotpath::HotpathEntry;
+use crate::snapshot::{time_ns, Entry};
 use pdip_engine::{Family, YesInstance};
 use pdip_graph::gen::planar::random_planar;
 use pdip_graph::{
@@ -37,7 +37,7 @@ use rand::rngs::SmallRng;
 use rand::SeedableRng;
 use std::collections::VecDeque;
 use std::hint::black_box;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 /// Knobs for one `bench-graph` run.
 #[derive(Debug, Clone)]
@@ -65,34 +65,6 @@ impl GraphBenchConfig {
     pub fn smoke() -> Self {
         GraphBenchConfig { sizes: vec![1_000], budget: Duration::from_millis(2), samples: 3 }
     }
-}
-
-/// Median-of-`samples` wall time of `f`, in nanoseconds per call
-/// (the variable-sample-count sibling of [`crate::hotpath::time_ns`]).
-pub fn time_ns_samples(min_time: Duration, samples: usize, mut f: impl FnMut()) -> f64 {
-    f(); // warm-up
-    let mut iters = 1u64;
-    loop {
-        let start = Instant::now();
-        for _ in 0..iters {
-            f();
-        }
-        if start.elapsed() >= min_time {
-            break;
-        }
-        iters *= 2;
-    }
-    let mut out: Vec<f64> = (0..samples.max(1))
-        .map(|_| {
-            let start = Instant::now();
-            for _ in 0..iters {
-                f();
-            }
-            start.elapsed().as_nanos() as f64 / iters as f64
-        })
-        .collect();
-    out.sort_by(|a, b| a.total_cmp(b));
-    out[out.len() / 2]
 }
 
 /// A circulant graph: node `i` is adjacent to `i ± 1..=k` (mod `n`), so
@@ -133,7 +105,7 @@ fn legacy_bfs_forest(g: &Graph, adj: &NaiveAdjacency, root: NodeId) -> RootedFor
 }
 
 /// Runs every paired measurement of the graph-substrate suite.
-pub fn run_graphbench(cfg: &GraphBenchConfig) -> Vec<HotpathEntry> {
+pub fn run_graphbench(cfg: &GraphBenchConfig) -> Vec<Entry> {
     let mut entries = Vec::new();
 
     // 1. edge_between where *both* endpoints are high-degree (a circulant
@@ -145,17 +117,17 @@ pub fn run_graphbench(cfg: &GraphBenchConfig) -> Vec<HotpathEntry> {
     let dense = circulant(cn, ck);
     dense.freeze();
     let naive_dense = NaiveAdjacency::from_graph(&dense);
-    entries.push(HotpathEntry {
-        name: "edge_between_dense",
+    entries.push(Entry {
+        name: "edge_between_dense".into(),
         n: cn,
-        baseline_ns: time_ns_samples(cfg.budget, cfg.samples, || {
+        baseline_ns: time_ns(cfg.budget, cfg.samples, || {
             let mut acc = 0usize;
             for i in 0..cn {
                 acc ^= naive_dense.edge_between(i, black_box((i + ck) % cn)).unwrap();
             }
             black_box(acc);
         }),
-        fast_ns: time_ns_samples(cfg.budget, cfg.samples, || {
+        fast_ns: time_ns(cfg.budget, cfg.samples, || {
             let mut acc = 0usize;
             for i in 0..cn {
                 acc ^= dense.edge_between(i, black_box((i + ck) % cn)).unwrap();
@@ -175,40 +147,40 @@ pub fn run_graphbench(cfg: &GraphBenchConfig) -> Vec<HotpathEntry> {
 
         // 2. Left-right planarity test: warm arena vs cold scratch.
         let mut warm = TraversalScratch::new();
-        entries.push(HotpathEntry {
-            name: "is_planar",
+        entries.push(Entry {
+            name: "is_planar".into(),
             n,
-            baseline_ns: time_ns_samples(cfg.budget, samples, || {
+            baseline_ns: time_ns(cfg.budget, samples, || {
                 let mut cold = TraversalScratch::new();
                 black_box(is_planar_with(&g, &mut cold));
             }),
-            fast_ns: time_ns_samples(cfg.budget, samples, || {
+            fast_ns: time_ns(cfg.budget, samples, || {
                 black_box(is_planar_with(&g, &mut warm));
             }),
         });
 
         // 3. Biconnected decomposition: warm arena vs cold scratch.
-        entries.push(HotpathEntry {
-            name: "biconnected",
+        entries.push(Entry {
+            name: "biconnected".into(),
             n,
-            baseline_ns: time_ns_samples(cfg.budget, samples, || {
+            baseline_ns: time_ns(cfg.budget, samples, || {
                 let mut cold = TraversalScratch::new();
                 black_box(BiconnectedComponents::compute_with(&g, &mut cold));
             }),
-            fast_ns: time_ns_samples(cfg.budget, samples, || {
+            fast_ns: time_ns(cfg.budget, samples, || {
                 black_box(BiconnectedComponents::compute_with(&g, &mut warm));
             }),
         });
 
         // 4. BFS spanning tree: built during traversal vs the legacy
         //    allocate-then-validate shape.
-        entries.push(HotpathEntry {
-            name: "spanning_forest",
+        entries.push(Entry {
+            name: "spanning_forest".into(),
             n,
-            baseline_ns: time_ns_samples(cfg.budget, samples, || {
+            baseline_ns: time_ns(cfg.budget, samples, || {
                 black_box(legacy_bfs_forest(&g, &naive, 0));
             }),
-            fast_ns: time_ns_samples(cfg.budget, samples, || {
+            fast_ns: time_ns(cfg.budget, samples, || {
                 black_box(RootedForest::bfs_spanning_tree_with(&g, 0, &mut warm));
             }),
         });
@@ -221,82 +193,18 @@ pub fn run_graphbench(cfg: &GraphBenchConfig) -> Vec<HotpathEntry> {
                 black_box(p.run_honest(5).accepted());
             })
         };
-        entries.push(HotpathEntry {
-            name: "planarity_round",
+        entries.push(Entry {
+            name: "planarity_round".into(),
             n,
-            baseline_ns: time_ns_samples(cfg.budget, samples, || {
+            baseline_ns: time_ns(cfg.budget, samples, || {
                 reset_thread_scratch();
                 round();
             }),
-            fast_ns: time_ns_samples(cfg.budget, samples, round),
+            fast_ns: time_ns(cfg.budget, samples, round),
         });
     }
 
     entries
-}
-
-/// Renders the entries as the `results/bench_graph.json` document.
-pub fn graphbench_json(mode: &str, entries: &[HotpathEntry]) -> String {
-    use std::fmt::Write as _;
-    let mut s = String::new();
-    s.push_str("{\n");
-    let _ = writeln!(s, "  \"schema\": \"pdip.bench_graph.v1\",");
-    let _ = writeln!(s, "  \"mode\": \"{mode}\",");
-    s.push_str("  \"entries\": [\n");
-    let rows: Vec<String> = entries
-        .iter()
-        .map(|e| {
-            format!(
-                "    {{\"name\": \"{}\", \"n\": {}, \"baseline_ns\": {:.1}, \
-                 \"fast_ns\": {:.1}, \"speedup\": {:.2}}}",
-                e.name,
-                e.n,
-                e.baseline_ns,
-                e.fast_ns,
-                e.speedup(),
-            )
-        })
-        .collect();
-    s.push_str(&rows.join(",\n"));
-    s.push_str("\n  ]\n}\n");
-    s
-}
-
-/// Parses a `bench_graph.json` document back into entries, checking the
-/// schema tag and every per-entry field. Shared by the freshness test so
-/// a committed document that drifts from the writer fails CI.
-pub fn parse_graphbench_json(doc: &str) -> Result<Vec<(String, usize, f64, f64)>, String> {
-    if !doc.contains("\"schema\": \"pdip.bench_graph.v1\"") {
-        return Err("missing or wrong schema tag".into());
-    }
-    fn field<'a>(row: &'a str, key: &str) -> Result<&'a str, String> {
-        let pat = format!("\"{key}\": ");
-        let at = row.find(&pat).ok_or_else(|| format!("missing field {key} in {row}"))?;
-        let rest = &row[at + pat.len()..];
-        let end = rest.find([',', '}']).ok_or_else(|| format!("unterminated {key}"))?;
-        Ok(rest[..end].trim())
-    }
-    let mut out = Vec::new();
-    for row in doc.lines().filter(|l| l.trim_start().starts_with('{') && l.contains("\"name\"")) {
-        let name = field(row, "name")?.trim_matches('"').to_string();
-        let n: usize = field(row, "n")?.parse().map_err(|e| format!("bad n: {e}"))?;
-        let base: f64 =
-            field(row, "baseline_ns")?.parse().map_err(|e| format!("bad baseline_ns: {e}"))?;
-        let fast: f64 = field(row, "fast_ns")?.parse().map_err(|e| format!("bad fast_ns: {e}"))?;
-        let speedup: f64 =
-            field(row, "speedup")?.parse().map_err(|e| format!("bad speedup: {e}"))?;
-        if base <= 0.0 || fast <= 0.0 {
-            return Err(format!("non-positive timing in entry {name}"));
-        }
-        if (speedup - base / fast).abs() > 0.011 * speedup.max(1.0) {
-            return Err(format!("speedup field inconsistent in entry {name}"));
-        }
-        out.push((name, n, base, fast));
-    }
-    if out.is_empty() {
-        return Err("no entries".into());
-    }
-    Ok(out)
 }
 
 #[cfg(test)]
@@ -324,32 +232,12 @@ mod tests {
         let cfg =
             GraphBenchConfig { sizes: vec![64], budget: Duration::from_micros(50), samples: 1 };
         let entries = run_graphbench(&cfg);
-        let names: Vec<&str> = entries.iter().map(|e| e.name).collect();
+        let names: Vec<&str> = entries.iter().map(|e| e.name.as_str()).collect();
         for want in
             ["edge_between_dense", "is_planar", "biconnected", "spanning_forest", "planarity_round"]
         {
             assert!(names.contains(&want), "missing {want}");
         }
         assert!(entries.iter().all(|e| e.baseline_ns > 0.0 && e.fast_ns > 0.0));
-    }
-
-    #[test]
-    fn json_document_roundtrips_through_parser() {
-        let entries = vec![
-            HotpathEntry {
-                name: "edge_between_dense",
-                n: 1024,
-                baseline_ns: 9000.0,
-                fast_ns: 450.0,
-            },
-            HotpathEntry { name: "is_planar", n: 1000, baseline_ns: 100.0, fast_ns: 80.0 },
-        ];
-        let doc = graphbench_json("full", &entries);
-        let parsed = parse_graphbench_json(&doc).expect("writer output must parse");
-        assert_eq!(parsed.len(), 2);
-        assert_eq!(parsed[0].0, "edge_between_dense");
-        assert_eq!(parsed[0].1, 1024);
-        assert!(parse_graphbench_json("{}").is_err());
-        assert!(parse_graphbench_json(&doc.replace("1024", "x")).is_err());
     }
 }

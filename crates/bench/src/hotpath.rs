@@ -1,5 +1,4 @@
-//! Hot-path microbenchmarks behind `pdip bench-hotpath` and the
-//! `hotpath` criterion bench.
+//! Hot-path microbenchmarks behind `pdip bench-hotpath`.
 //!
 //! Three measurements, each pairing the optimized path against the
 //! division-based baseline it replaced:
@@ -17,69 +16,21 @@
 //!    fold).
 //!
 //! Everything is deterministic (SplitMix64 inputs, no RNG state shared
-//! across entries); only the timings vary run to run. The JSON document
-//! written by `pdip bench-hotpath` is described in DESIGN.md §Performance.
+//! across entries); only the timings vary run to run. The document
+//! written by `pdip bench-hotpath` has schema [`HOTPATH`] and is
+//! described in DESIGN.md §4a.
 
+use crate::snapshot::{time_ns, Entry, Snapshot, HOTPATH};
 use pdip_field::{multiset_poly_eval, multiset_poly_eval_naive, smallest_prime_above, Fp};
 use pdip_protocols::multiset_eq::MultisetEq;
-use std::fmt::Write as _;
 use std::hint::black_box;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
-/// One benchmark line: the optimized and baseline timings for a job of
-/// size `n`.
-#[derive(Debug, Clone)]
-pub struct HotpathEntry {
-    /// Benchmark identifier (stable; keys the JSON document).
-    pub name: &'static str,
-    /// Problem size (chain length, multiset size, or segment elements).
-    pub n: usize,
-    /// Nanoseconds per job on the division-based baseline.
-    pub baseline_ns: f64,
-    /// Nanoseconds per job on the optimized hot path.
-    pub fast_ns: f64,
-}
-
-impl HotpathEntry {
-    /// Baseline time over optimized time.
-    pub fn speedup(&self) -> f64 {
-        self.baseline_ns / self.fast_ns
-    }
-}
-
-/// Median-of-samples wall time of `f`, in nanoseconds per call.
-///
-/// Doubles the iteration count until one sample exceeds `min_time`, then
-/// takes the median of several such samples — robust enough for a
-/// speedup ratio without criterion's full analysis pass.
-pub fn time_ns(min_time: Duration, mut f: impl FnMut()) -> f64 {
-    f(); // warm-up
-    let mut iters = 1u64;
-    loop {
-        let start = Instant::now();
-        for _ in 0..iters {
-            f();
-        }
-        if start.elapsed() >= min_time {
-            break;
-        }
-        iters *= 2;
-    }
-    let mut samples: Vec<f64> = (0..5)
-        .map(|_| {
-            let start = Instant::now();
-            for _ in 0..iters {
-                f();
-            }
-            start.elapsed().as_nanos() as f64 / iters as f64
-        })
-        .collect();
-    samples.sort_by(|a, b| a.total_cmp(b));
-    samples[samples.len() / 2]
-}
+/// Timing samples per measurement (the median is reported).
+const SAMPLES: usize = 5;
 
 /// Deterministic pseudo-random field elements (SplitMix64 stream).
-pub fn elements(n: usize, p: u64, seed: u64) -> Vec<u64> {
+fn elements(n: usize, p: u64, seed: u64) -> Vec<u64> {
     let mut state = seed;
     (0..n)
         .map(|_| {
@@ -127,8 +78,8 @@ fn tree_round_legacy(
     (a1[0], a2[0])
 }
 
-/// Runs all three paired measurements and returns their entries.
-pub fn run_hotpath() -> Vec<HotpathEntry> {
+/// Runs all three paired measurements and returns the snapshot.
+pub fn run_hotpath() -> Snapshot {
     let p = smallest_prime_above(1 << 20);
     let f = Fp::new(p);
     let budget = Duration::from_millis(30);
@@ -145,13 +96,13 @@ pub fn run_hotpath() -> Vec<HotpathEntry> {
         }
         black_box(acc)
     };
-    entries.push(HotpathEntry {
-        name: "field_mul",
+    entries.push(Entry {
+        name: "field_mul".into(),
         n: xs.len(),
-        baseline_ns: time_ns(budget, || {
+        baseline_ns: time_ns(budget, SAMPLES, || {
             each_with(&|a, b| f.mul_naive(a, b));
         }),
-        fast_ns: time_ns(budget, || {
+        fast_ns: time_ns(budget, SAMPLES, || {
             each_with(&|a, b| f.mul(a, b));
         }),
     });
@@ -159,13 +110,13 @@ pub fn run_hotpath() -> Vec<HotpathEntry> {
     // 2. The fingerprint φ_S(z) at the acceptance-criterion size 10⁵.
     let s = elements(100_000, p, 13);
     let z = 987_654u64 % p;
-    entries.push(HotpathEntry {
-        name: "multiset_poly_eval",
+    entries.push(Entry {
+        name: "multiset_poly_eval".into(),
         n: s.len(),
-        baseline_ns: time_ns(budget, || {
+        baseline_ns: time_ns(budget, SAMPLES, || {
             black_box(multiset_poly_eval_naive(&f, s.iter().copied(), black_box(z)));
         }),
-        fast_ns: time_ns(budget, || {
+        fast_ns: time_ns(budget, SAMPLES, || {
             black_box(multiset_poly_eval(&f, s.iter().copied(), black_box(z)));
         }),
     });
@@ -179,10 +130,10 @@ pub fn run_hotpath() -> Vec<HotpathEntry> {
     let s1: Vec<Vec<u64>> = (0..k).map(|i| elements(per, p, 1000 + i as u64)).collect();
     let s2: Vec<Vec<u64>> = (0..k).map(|i| elements(per, p, 5000 + i as u64)).collect();
     let ms = MultisetEq::new(f);
-    entries.push(HotpathEntry {
-        name: "multiset_eq_tree_round",
+    entries.push(Entry {
+        name: "multiset_eq_tree_round".into(),
         n: k * per,
-        baseline_ns: time_ns(budget, || {
+        baseline_ns: time_ns(budget, SAMPLES, || {
             black_box(tree_round_legacy(
                 &f,
                 &parent,
@@ -191,7 +142,7 @@ pub fn run_hotpath() -> Vec<HotpathEntry> {
                 black_box(z),
             ));
         }),
-        fast_ns: time_ns(budget, || {
+        fast_ns: time_ns(budget, SAMPLES, || {
             black_box(ms.honest_response(
                 &parent,
                 |i| s1[i].as_slice(),
@@ -201,33 +152,7 @@ pub fn run_hotpath() -> Vec<HotpathEntry> {
         }),
     });
 
-    entries
-}
-
-/// Renders the entries as the `results/bench_hotpath.json` document.
-pub fn hotpath_json(modulus: u64, entries: &[HotpathEntry]) -> String {
-    let mut s = String::new();
-    s.push_str("{\n");
-    let _ = writeln!(s, "  \"schema\": \"pdip.bench_hotpath.v1\",");
-    let _ = writeln!(s, "  \"modulus\": {modulus},");
-    s.push_str("  \"entries\": [\n");
-    let rows: Vec<String> = entries
-        .iter()
-        .map(|e| {
-            format!(
-                "    {{\"name\": \"{}\", \"n\": {}, \"baseline_ns\": {:.1}, \
-                 \"fast_ns\": {:.1}, \"speedup\": {:.2}}}",
-                e.name,
-                e.n,
-                e.baseline_ns,
-                e.fast_ns,
-                e.speedup(),
-            )
-        })
-        .collect();
-    s.push_str(&rows.join(",\n"));
-    s.push_str("\n  ]\n}\n");
-    s
+    Snapshot { schema: &HOTPATH, header: p.to_string(), entries, stages: Vec::new() }
 }
 
 #[cfg(test)]
@@ -247,15 +172,5 @@ mod tests {
         let msgs = ms.honest_response(&parent, |i| s1[i].as_slice(), |i| s2[i].as_slice(), z);
         let (a1, a2) = tree_round_legacy(&f, &parent, &|i| s1[i].clone(), &|i| s2[i].clone(), z);
         assert_eq!((msgs[0].a1, msgs[0].a2), (a1, a2));
-    }
-
-    #[test]
-    fn json_document_shape() {
-        let entries =
-            vec![HotpathEntry { name: "field_mul", n: 4096, baseline_ns: 200.0, fast_ns: 50.0 }];
-        let doc = hotpath_json(101, &entries);
-        assert!(doc.contains("\"schema\": \"pdip.bench_hotpath.v1\""));
-        assert!(doc.contains("\"speedup\": 4.00"));
-        assert!(doc.trim_end().ends_with('}'));
     }
 }

@@ -1,7 +1,11 @@
-//! Shared harness for the experiment binaries (E1–E8) and the criterion
+//! Shared harness for the experiment binaries (E1–E8) and the snapshot
 //! benches. Every binary regenerates one evaluation artifact of
 //! EXPERIMENTS.md; run them with `cargo run --release -p pdip-bench --bin
 //! <name>`.
+//!
+//! The timing snapshots behind `pdip bench-hotpath`, `pdip bench-graph`
+//! and `pdip bench-round` ([`hotpath`], [`graphbench`], [`roundbench`])
+//! share one timer, entry type, renderer and parser in [`snapshot`].
 //!
 //! The family/instance machinery and the table printer moved into
 //! [`pdip_engine`] (so the batch-verification engine can expand sweep
@@ -12,6 +16,7 @@
 pub mod graphbench;
 pub mod hotpath;
 pub mod roundbench;
+pub mod snapshot;
 
 pub use pdip_engine::{no_instance, print_table, Family, Reporter, YesInstance, FAMILIES};
 

@@ -16,13 +16,12 @@
 //!
 //! Durations are histogram/timing data: they never enter the
 //! deterministic event stream, so profiling a round cannot perturb any
-//! committed artifact (see the `pdip-obs` determinism rules). The JSON
-//! document written by `pdip bench-round` uses schema
-//! `pdip.bench_round.v1` and is freshness-guarded by
+//! committed artifact (see the `pdip-obs` determinism rules). The
+//! document written by `pdip bench-round` has schema
+//! [`crate::snapshot::ROUND`] and is freshness-guarded by
 //! `tests/bench_round_freshness.rs`.
 
-use crate::graphbench::time_ns_samples;
-use crate::hotpath::HotpathEntry;
+use crate::snapshot::{time_ns, Entry, StageRow};
 use pdip_engine::{Family, YesInstance};
 use pdip_obs::Recorder;
 use pdip_protocols::{PopParams, Transport};
@@ -60,20 +59,6 @@ pub const ROUND_STAGES: [&str; 13] = [
     "round/transcript",
     "round/lr-decide",
 ];
-
-/// One row of the per-stage breakdown table.
-#[derive(Debug, Clone)]
-pub struct StageRow {
-    /// Stopwatch name (`round/...`).
-    pub stage: &'static str,
-    /// Instance size.
-    pub n: usize,
-    /// Total nanoseconds spent in the stage over the profiled runs,
-    /// divided by the number of runs.
-    pub total_ns: f64,
-    /// Fraction of the tracked round time.
-    pub share: f64,
-}
 
 /// Knobs for one `bench-round` run.
 #[derive(Debug, Clone)]
@@ -148,18 +133,9 @@ impl Recorder for StageRecorder {
     }
 }
 
-/// The full profiler output for one configuration.
-#[derive(Debug, Clone)]
-pub struct RoundBenchReport {
-    /// Whole-round timings vs the committed baseline, one per size.
-    pub entries: Vec<HotpathEntry>,
-    /// Per-stage breakdown rows, grouped by size in grid order.
-    pub stages: Vec<StageRow>,
-}
-
 /// Runs the profiler: total round wall time (median of samples on a warm
 /// scratch) plus the per-stage stopwatch breakdown, per size.
-pub fn run_roundbench(cfg: &RoundBenchConfig) -> RoundBenchReport {
+pub fn run_roundbench(cfg: &RoundBenchConfig) -> (Vec<Entry>, Vec<StageRow>) {
     let mut entries = Vec::new();
     let mut stages = Vec::new();
     for &n in &cfg.sizes {
@@ -171,9 +147,9 @@ pub fn run_roundbench(cfg: &RoundBenchConfig) -> RoundBenchReport {
                 black_box(p.run_honest(5).accepted());
             })
         };
-        let fast_ns = time_ns_samples(cfg.budget, samples, round);
+        let fast_ns = time_ns(cfg.budget, samples, round);
         let baseline_ns = committed_baseline_ns(n).unwrap_or(fast_ns);
-        entries.push(HotpathEntry { name: "planarity_round", n, baseline_ns, fast_ns });
+        entries.push(Entry { name: "planarity_round".into(), n, baseline_ns, fast_ns });
 
         // Stage breakdown: run under the summing recorder and average.
         let rec = StageRecorder::new();
@@ -188,121 +164,10 @@ pub fn run_roundbench(cfg: &RoundBenchConfig) -> RoundBenchReport {
         let tracked: f64 = totals.iter().map(|&(_, t)| t).sum();
         for (stage, total_ns) in totals {
             let share = if tracked > 0.0 { total_ns / tracked } else { 0.0 };
-            stages.push(StageRow { stage, n, total_ns, share });
+            stages.push(StageRow { stage: stage.into(), n, total_ns, share });
         }
     }
-    RoundBenchReport { entries, stages }
-}
-
-/// Renders the report as the `results/bench_round.json` document.
-pub fn roundbench_json(mode: &str, report: &RoundBenchReport) -> String {
-    use std::fmt::Write as _;
-    let mut s = String::new();
-    s.push_str("{\n");
-    let _ = writeln!(s, "  \"schema\": \"pdip.bench_round.v1\",");
-    let _ = writeln!(s, "  \"mode\": \"{mode}\",");
-    s.push_str("  \"entries\": [\n");
-    let rows: Vec<String> = report
-        .entries
-        .iter()
-        .map(|e| {
-            format!(
-                "    {{\"name\": \"{}\", \"n\": {}, \"baseline_ns\": {:.1}, \
-                 \"fast_ns\": {:.1}, \"speedup\": {:.2}}}",
-                e.name,
-                e.n,
-                e.baseline_ns,
-                e.fast_ns,
-                e.speedup(),
-            )
-        })
-        .collect();
-    s.push_str(&rows.join(",\n"));
-    s.push_str("\n  ],\n  \"stages\": [\n");
-    let rows: Vec<String> = report
-        .stages
-        .iter()
-        .map(|r| {
-            format!(
-                "    {{\"stage\": \"{}\", \"n\": {}, \"total_ns\": {:.1}, \"share\": {:.4}}}",
-                r.stage, r.n, r.total_ns, r.share,
-            )
-        })
-        .collect();
-    s.push_str(&rows.join(",\n"));
-    s.push_str("\n  ]\n}\n");
-    s
-}
-
-/// A parsed `bench_round.json` document.
-#[derive(Debug, Clone)]
-pub struct ParsedRoundBench {
-    /// Document mode (`full` or `smoke`).
-    pub mode: String,
-    /// `(name, n, baseline_ns, fast_ns)` per entry row.
-    pub entries: Vec<(String, usize, f64, f64)>,
-    /// `(stage, n, total_ns, share)` per stage row.
-    pub stages: Vec<(String, usize, f64, f64)>,
-}
-
-/// Parses a `bench_round.json` document, checking the schema tag and all
-/// per-row fields. Shared by the freshness guard so a committed document
-/// that drifts from the writer fails CI.
-pub fn parse_roundbench_json(doc: &str) -> Result<ParsedRoundBench, String> {
-    if !doc.contains("\"schema\": \"pdip.bench_round.v1\"") {
-        return Err("missing or wrong schema tag".into());
-    }
-    fn field<'a>(row: &'a str, key: &str) -> Result<&'a str, String> {
-        let pat = format!("\"{key}\": ");
-        let at = row.find(&pat).ok_or_else(|| format!("missing field {key} in {row}"))?;
-        let rest = &row[at + pat.len()..];
-        let end = rest.find([',', '}']).ok_or_else(|| format!("unterminated {key}"))?;
-        Ok(rest[..end].trim())
-    }
-    let mode = doc
-        .lines()
-        .find(|l| l.contains("\"mode\": "))
-        .and_then(|l| field(l, "mode").ok())
-        .map(|m| m.trim_matches(['"', ','].as_ref()).to_string())
-        .ok_or("missing mode")?;
-    let mut entries = Vec::new();
-    let mut stages = Vec::new();
-    for row in doc.lines().map(str::trim_start).filter(|l| l.starts_with('{')) {
-        if row.contains("\"name\"") {
-            let name = field(row, "name")?.trim_matches('"').to_string();
-            let n: usize = field(row, "n")?.parse().map_err(|e| format!("bad n: {e}"))?;
-            let base: f64 =
-                field(row, "baseline_ns")?.parse().map_err(|e| format!("bad baseline_ns: {e}"))?;
-            let fast: f64 =
-                field(row, "fast_ns")?.parse().map_err(|e| format!("bad fast_ns: {e}"))?;
-            let speedup: f64 =
-                field(row, "speedup")?.parse().map_err(|e| format!("bad speedup: {e}"))?;
-            if base <= 0.0 || fast <= 0.0 {
-                return Err(format!("non-positive timing in entry {name} n={n}"));
-            }
-            if (speedup - base / fast).abs() > 0.011 * speedup.max(1.0) {
-                return Err(format!("speedup field inconsistent in entry {name} n={n}"));
-            }
-            entries.push((name, n, base, fast));
-        } else if row.contains("\"stage\"") {
-            let stage = field(row, "stage")?.trim_matches('"').to_string();
-            let n: usize = field(row, "n")?.parse().map_err(|e| format!("bad n: {e}"))?;
-            let total: f64 =
-                field(row, "total_ns")?.parse().map_err(|e| format!("bad total_ns: {e}"))?;
-            let share: f64 = field(row, "share")?.parse().map_err(|e| format!("bad share: {e}"))?;
-            if !(0.0..=1.0).contains(&share) {
-                return Err(format!("share out of range in stage {stage} n={n}"));
-            }
-            stages.push((stage, n, total, share));
-        }
-    }
-    if entries.is_empty() {
-        return Err("no entries".into());
-    }
-    if stages.is_empty() {
-        return Err("no stage rows".into());
-    }
-    Ok(ParsedRoundBench { mode, entries, stages })
+    (entries, stages)
 }
 
 #[cfg(test)]
@@ -317,38 +182,14 @@ mod tests {
             samples: 1,
             profile_runs: 1,
         };
-        let report = run_roundbench(&cfg);
-        assert_eq!(report.entries.len(), 1);
-        assert!(report.entries[0].fast_ns > 0.0);
-        assert_eq!(report.stages.len(), ROUND_STAGES.len());
-        let tracked: f64 = report.stages.iter().map(|r| r.total_ns).sum();
+        let (entries, stages) = run_roundbench(&cfg);
+        assert_eq!(entries.len(), 1);
+        assert!(entries[0].fast_ns > 0.0);
+        assert_eq!(stages.len(), ROUND_STAGES.len());
+        let tracked: f64 = stages.iter().map(|r| r.total_ns).sum();
         assert!(tracked > 0.0, "no stage time recorded");
-        let share_sum: f64 = report.stages.iter().map(|r| r.share).sum();
+        let share_sum: f64 = stages.iter().map(|r| r.share).sum();
         assert!((share_sum - 1.0).abs() < 1e-6, "shares must sum to 1: {share_sum}");
-    }
-
-    #[test]
-    fn json_document_roundtrips_through_parser() {
-        let report = RoundBenchReport {
-            entries: vec![HotpathEntry {
-                name: "planarity_round",
-                n: 1000,
-                baseline_ns: 5000.0,
-                fast_ns: 1000.0,
-            }],
-            stages: vec![
-                StageRow { stage: "round/lr-commit", n: 1000, total_ns: 800.0, share: 0.8 },
-                StageRow { stage: "round/lr-decide", n: 1000, total_ns: 200.0, share: 0.2 },
-            ],
-        };
-        let doc = roundbench_json("full", &report);
-        let parsed = parse_roundbench_json(&doc).expect("writer output must parse");
-        assert_eq!(parsed.mode, "full");
-        assert_eq!(parsed.entries.len(), 1);
-        assert_eq!(parsed.entries[0].1, 1000);
-        assert_eq!(parsed.stages.len(), 2);
-        assert!(parse_roundbench_json("{}").is_err());
-        assert!(parse_roundbench_json(&doc.replace("0.8", "8.0")).is_err());
     }
 
     #[test]

@@ -2,7 +2,7 @@
 //!
 //! Expands the target × mutator × trial grid into jobs, runs each job —
 //! instance generation, corruption and re-verification — under
-//! `catch_unwind` on a fixed-seed worker pool, and aggregates per-cell
+//! `catch_unwind` on the `pdip_core::par` index map, and aggregates per-cell
 //! detection statistics. The report depends only on
 //! `(n, trials, base_seed)`: scheduling, thread count and wall-clock
 //! never reach the output, so the rendered artifacts are byte-identical
@@ -12,9 +12,6 @@ use super::{build_target, Determinism, MutatorKind, TamperOutcome, TargetId, MUT
 use crate::pool::PanicSilencer;
 use crate::seed::sub_seed;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::mpsc;
-use std::thread;
 
 /// Parameters of one chaos sweep.
 #[derive(Debug, Clone, Copy)]
@@ -168,54 +165,31 @@ pub fn run_chaos(spec: &ChaosSpec) -> ChaosReport {
     }
 
     let _silencer = PanicSilencer::engage();
-    let cursor = AtomicUsize::new(0);
-    let threads = spec.threads.max(1);
     let n = spec.n;
-    let (tx, rx) = mpsc::channel::<(usize, ChaosOutcome)>();
-    thread::scope(|s| {
-        for _ in 0..threads {
-            let tx = tx.clone();
-            let cursor = &cursor;
-            let jobs = &jobs;
-            s.spawn(move || loop {
-                let i = cursor.fetch_add(1, Ordering::Relaxed);
-                if i >= jobs.len() {
-                    break;
-                }
-                let job = &jobs[i];
-                let outcome = catch_unwind(AssertUnwindSafe(|| {
-                    let target = build_target(job.target, n, sub_seed(job.seed, labels::GEN));
-                    target.run_mutated(job.kind, sub_seed(job.seed, labels::RUN))
-                }));
-                let outcome = match outcome {
-                    Ok(TamperOutcome::Detected { malformed }) => {
-                        ChaosOutcome::Detected { malformed }
-                    }
-                    Ok(TamperOutcome::Miss) => ChaosOutcome::Miss,
-                    Ok(TamperOutcome::Unchanged) => ChaosOutcome::Unchanged,
-                    Err(payload) => ChaosOutcome::Panicked(panic_message(&payload)),
-                };
-                // The grid outlives every worker; a send can only fail
-                // if the collector was dropped early, which cannot
-                // happen inside this scope.
-                let _ = tx.send((i, outcome));
-            });
+    // One index-ordered map over the grid: results come back in job
+    // order at any thread count, so the report never sees scheduling.
+    let outcomes = pdip_core::par::map_indexed_with(spec.threads, jobs.len(), 1, |i| {
+        let job = &jobs[i];
+        let outcome = catch_unwind(AssertUnwindSafe(|| {
+            let target = build_target(job.target, n, sub_seed(job.seed, labels::GEN));
+            target.run_mutated(job.kind, sub_seed(job.seed, labels::RUN))
+        }));
+        match outcome {
+            Ok(TamperOutcome::Detected { malformed }) => ChaosOutcome::Detected { malformed },
+            Ok(TamperOutcome::Miss) => ChaosOutcome::Miss,
+            Ok(TamperOutcome::Unchanged) => ChaosOutcome::Unchanged,
+            Err(payload) => ChaosOutcome::Panicked(panic_message(&payload)),
         }
     });
-    drop(tx);
-    let mut resolved: Vec<(usize, ChaosOutcome)> = rx.into_iter().collect();
-    resolved.sort_by_key(|&(i, _)| i);
-    let records: Vec<ChaosRecord> = resolved
-        .into_iter()
-        .map(|(i, outcome)| {
-            let job = &jobs[i];
-            ChaosRecord {
-                target: job.target,
-                kind: job.kind,
-                trial: job.trial,
-                seed: job.seed,
-                outcome,
-            }
+    let records: Vec<ChaosRecord> = jobs
+        .iter()
+        .zip(outcomes)
+        .map(|(job, outcome)| ChaosRecord {
+            target: job.target,
+            kind: job.kind,
+            trial: job.trial,
+            seed: job.seed,
+            outcome,
         })
         .collect();
 

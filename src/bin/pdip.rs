@@ -45,6 +45,7 @@
 //! panic and at drain. `pdip obs-audit` is the gating E14 audit of the
 //! whole observability layer.
 
+use pdip_bench::snapshot::{self, Snapshot};
 use pdip_bench::{no_instance, Family, YesInstance, FAMILIES};
 
 /// Track the allocator high-water so `pdip scale` (E11) and the
@@ -100,6 +101,52 @@ fn flag_value(args: &[String], name: &str) -> Option<String> {
 
 fn flag_num(args: &[String], name: &str, default: usize) -> usize {
     flag_value(args, name).map(|v| v.parse().expect("numeric flag")).unwrap_or(default)
+}
+
+/// Writes one output artifact, creating its parent directory first.
+fn write_artifact(path: &std::path::Path, contents: impl AsRef<[u8]>) {
+    if let Some(dir) = path.parent().filter(|d| !d.as_os_str().is_empty()) {
+        std::fs::create_dir_all(dir).unwrap_or_else(|e| panic!("creating {}: {e}", dir.display()));
+    }
+    std::fs::write(path, contents).unwrap_or_else(|e| panic!("writing {}: {e}", path.display()));
+}
+
+/// Writes an audit report as `{prefix}.txt` and `{prefix}.json` and
+/// returns the `wrote … and …` line.
+fn write_report(prefix: &str, text: &str, json: &str) -> String {
+    let txt_path = std::path::PathBuf::from(format!("{prefix}.txt"));
+    let json_path = std::path::PathBuf::from(format!("{prefix}.json"));
+    write_artifact(&txt_path, text);
+    write_artifact(&json_path, json);
+    format!("wrote {} and {}", txt_path.display(), json_path.display())
+}
+
+/// Prints a bench snapshot's tables (entries, then stages if any),
+/// writes the document to `out` and reports the path.
+fn write_bench_snapshot(out: &str, snap: &Snapshot) {
+    println!(
+        "{:<24} {:>10} {:>14} {:>14} {:>9}",
+        "benchmark", "n", "baseline ns", "fast ns", "speedup"
+    );
+    for e in &snap.entries {
+        println!(
+            "{:<24} {:>10} {:>14.1} {:>14.1} {:>8.2}x",
+            e.name,
+            e.n,
+            e.baseline_ns,
+            e.fast_ns,
+            e.speedup()
+        );
+    }
+    if snap.schema.stages {
+        println!("\n{:<24} {:>10} {:>14} {:>8}", "stage", "n", "total ns", "share");
+        for r in &snap.stages {
+            println!("{:<24} {:>10} {:>14.1} {:>7.1}%", r.stage, r.n, r.total_ns, 100.0 * r.share);
+        }
+    }
+    let path = std::path::Path::new(out);
+    write_artifact(path, snap.render());
+    println!("\nwrote {}", path.display());
 }
 
 fn main() {
@@ -271,29 +318,7 @@ fn main() {
             let out =
                 flag_value(&args, "--out").unwrap_or_else(|| "results/bench_hotpath.json".into());
             println!("hot-path microbenchmarks (optimized vs division-based baseline):\n");
-            let entries = pdip_bench::hotpath::run_hotpath();
-            println!(
-                "{:<24} {:>10} {:>14} {:>14} {:>9}",
-                "benchmark", "n", "baseline ns", "fast ns", "speedup"
-            );
-            for e in &entries {
-                println!(
-                    "{:<24} {:>10} {:>14.1} {:>14.1} {:>8.2}x",
-                    e.name,
-                    e.n,
-                    e.baseline_ns,
-                    e.fast_ns,
-                    e.speedup()
-                );
-            }
-            let p = planarity_dip::field::smallest_prime_above(1 << 20);
-            let doc = pdip_bench::hotpath::hotpath_json(p, &entries);
-            let path = std::path::Path::new(&out);
-            if let Some(dir) = path.parent() {
-                std::fs::create_dir_all(dir).expect("creating results dir");
-            }
-            std::fs::write(path, doc).expect("writing bench snapshot");
-            println!("\nwrote {}", path.display());
+            write_bench_snapshot(&out, &pdip_bench::hotpath::run_hotpath());
         }
         "bench-graph" => {
             let out =
@@ -304,40 +329,20 @@ fn main() {
             } else {
                 pdip_bench::graphbench::GraphBenchConfig::full()
             };
+            let mode = if smoke { "smoke" } else { "full" };
             println!(
-                "graph-substrate benchmarks ({}; frozen CSR + warm scratch vs legacy shape):\n",
-                if smoke { "smoke" } else { "full" }
+                "graph-substrate benchmarks ({mode}; frozen CSR + warm scratch vs legacy shape):\n"
             );
             let entries = pdip_bench::graphbench::run_graphbench(&cfg);
-            println!(
-                "{:<24} {:>10} {:>14} {:>14} {:>9}",
-                "benchmark", "n", "baseline ns", "fast ns", "speedup"
+            let stages = Vec::new();
+            write_bench_snapshot(
+                &out,
+                &Snapshot { schema: &snapshot::GRAPH, header: mode.into(), entries, stages },
             );
-            for e in &entries {
-                println!(
-                    "{:<24} {:>10} {:>14.1} {:>14.1} {:>8.2}x",
-                    e.name,
-                    e.n,
-                    e.baseline_ns,
-                    e.fast_ns,
-                    e.speedup()
-                );
-            }
-            let doc = pdip_bench::graphbench::graphbench_json(
-                if smoke { "smoke" } else { "full" },
-                &entries,
-            );
-            let path = std::path::Path::new(&out);
-            if let Some(dir) = path.parent() {
-                std::fs::create_dir_all(dir).expect("creating results dir");
-            }
-            std::fs::write(path, doc).expect("writing bench snapshot");
-            println!("\nwrote {}", path.display());
         }
         "bench-round" => {
             let out =
                 flag_value(&args, "--out").unwrap_or_else(|| "results/bench_round.json".into());
-            let smoke = args.iter().any(|a| a == "--smoke");
             // Intra-job workers for the round's chunked per-node loops.
             // Transcripts are byte-identical at any value (the chunk grid
             // is worker-count independent), so the default follows the
@@ -351,50 +356,21 @@ fn main() {
                 None => pdip_core::par::set_intra_workers_auto(),
             }
             println!("intra-job workers: {}\n", pdip_core::par::intra_workers());
+            let smoke = args.iter().any(|a| a == "--smoke");
             let cfg = if smoke {
                 pdip_bench::roundbench::RoundBenchConfig::smoke()
             } else {
                 pdip_bench::roundbench::RoundBenchConfig::full()
             };
+            let mode = if smoke { "smoke" } else { "full" };
             println!(
-                "planarity-round profile ({}; honest run vs committed pre-optimization baseline):\n",
-                if smoke { "smoke" } else { "full" }
+                "planarity-round profile ({mode}; honest run vs committed pre-optimization baseline):\n"
             );
-            let report = pdip_bench::roundbench::run_roundbench(&cfg);
-            println!(
-                "{:<24} {:>10} {:>14} {:>14} {:>9}",
-                "benchmark", "n", "baseline ns", "fast ns", "speedup"
+            let (entries, stages) = pdip_bench::roundbench::run_roundbench(&cfg);
+            write_bench_snapshot(
+                &out,
+                &Snapshot { schema: &snapshot::ROUND, header: mode.into(), entries, stages },
             );
-            for e in &report.entries {
-                println!(
-                    "{:<24} {:>10} {:>14.1} {:>14.1} {:>8.2}x",
-                    e.name,
-                    e.n,
-                    e.baseline_ns,
-                    e.fast_ns,
-                    e.speedup()
-                );
-            }
-            println!("\n{:<24} {:>10} {:>14} {:>8}", "stage", "n", "total ns", "share");
-            for r in &report.stages {
-                println!(
-                    "{:<24} {:>10} {:>14.1} {:>7.1}%",
-                    r.stage,
-                    r.n,
-                    r.total_ns,
-                    100.0 * r.share
-                );
-            }
-            let doc = pdip_bench::roundbench::roundbench_json(
-                if smoke { "smoke" } else { "full" },
-                &report,
-            );
-            let path = std::path::Path::new(&out);
-            if let Some(dir) = path.parent() {
-                std::fs::create_dir_all(dir).expect("creating results dir");
-            }
-            std::fs::write(path, doc).expect("writing bench snapshot");
-            println!("\nwrote {}", path.display());
         }
         "chaos" => {
             let smoke = args.iter().any(|a| a == "--smoke");
@@ -417,14 +393,7 @@ fn main() {
             );
             let report = pdip_engine::run_chaos(&spec);
             print!("{}", report.render_text());
-            let txt_path = std::path::PathBuf::from(format!("{out}.txt"));
-            let json_path = std::path::PathBuf::from(format!("{out}.json"));
-            if let Some(dir) = txt_path.parent() {
-                std::fs::create_dir_all(dir).expect("creating results dir");
-            }
-            std::fs::write(&txt_path, report.render_text()).expect("writing chaos text report");
-            std::fs::write(&json_path, report.render_json()).expect("writing chaos json report");
-            println!("\nwrote {} and {}", txt_path.display(), json_path.display());
+            println!("\n{}", write_report(&out, &report.render_text(), &report.render_json()));
             if !report.all_pass {
                 eprintln!("chaos audit FAILED (see table above)");
                 std::process::exit(1);
@@ -458,16 +427,10 @@ fn main() {
             for l in outcome.timing_lines() {
                 rep.line(&format!("  {l}"));
             }
-            let txt_path = std::path::PathBuf::from(format!("{out}.txt"));
-            let json_path = std::path::PathBuf::from(format!("{out}.json"));
-            if let Some(dir) = txt_path.parent() {
-                std::fs::create_dir_all(dir).expect("creating results dir");
-            }
-            std::fs::write(&txt_path, outcome.report.render_text())
-                .expect("writing trace text report");
-            std::fs::write(&json_path, outcome.report.render_json())
-                .expect("writing trace json report");
-            rep.line(&format!("\nwrote {} and {}", txt_path.display(), json_path.display()));
+            rep.line(&format!(
+                "\n{}",
+                write_report(&out, &outcome.report.render_text(), &outcome.report.render_json())
+            ));
             rep.summary(&outcome.metrics);
             if !outcome.report.all_pass {
                 eprintln!("trace audit FAILED (see table above)");
@@ -494,14 +457,7 @@ fn main() {
             let start = std::time::Instant::now();
             let report = pdip_engine::run_scale(&spec);
             print!("{}", report.render_text());
-            let txt_path = std::path::PathBuf::from(format!("{out}.txt"));
-            let json_path = std::path::PathBuf::from(format!("{out}.json"));
-            if let Some(dir) = txt_path.parent() {
-                std::fs::create_dir_all(dir).expect("creating results dir");
-            }
-            std::fs::write(&txt_path, report.render_text()).expect("writing scale text report");
-            std::fs::write(&json_path, report.render_json()).expect("writing scale json report");
-            println!("\nwrote {} and {}", txt_path.display(), json_path.display());
+            println!("\n{}", write_report(&out, &report.render_text(), &report.render_json()));
             let mut rep = Reporter::from_quiet_flag(false);
             rep.summary(&pdip_engine::scale_metrics(&report, start.elapsed()));
             // This binary installs the tracking allocator, so the
@@ -552,10 +508,7 @@ fn main() {
             let bytes = t.encode();
             let out = flag_value(&args, "--out").unwrap_or_else(|| "out.transcript".into());
             let path = std::path::Path::new(&out);
-            if let Some(dir) = path.parent().filter(|d| !d.as_os_str().is_empty()) {
-                std::fs::create_dir_all(dir).expect("creating output dir");
-            }
-            std::fs::write(path, &bytes).expect("writing transcript");
+            write_artifact(path, &bytes);
             println!(
                 "wrote {} ({} bytes): {} n={} prover={} verdict={}",
                 path.display(),
@@ -644,15 +597,7 @@ fn main() {
                 let out = flag_value(&args, "--out").unwrap_or_else(|| "results/e12_serve".into());
                 let report = pdip_engine::run_serve_smoke(&[1, 4], pdip_engine::E12_SEED);
                 print!("{}", report.render_text());
-                let txt_path = std::path::PathBuf::from(format!("{out}.txt"));
-                let json_path = std::path::PathBuf::from(format!("{out}.json"));
-                if let Some(dir) = txt_path.parent() {
-                    std::fs::create_dir_all(dir).expect("creating results dir");
-                }
-                std::fs::write(&txt_path, report.render_text()).expect("writing serve text report");
-                std::fs::write(&json_path, report.render_json())
-                    .expect("writing serve json report");
-                println!("\nwrote {} and {}", txt_path.display(), json_path.display());
+                println!("\n{}", write_report(&out, &report.render_text(), &report.render_json()));
                 if !report.passed {
                     eprintln!("serve smoke FAILED (see failures above)");
                     std::process::exit(1);
@@ -721,14 +666,7 @@ fn main() {
             // Throughput is timing data: stdout only in the text form,
             // one clearly-marked field in the JSON.
             println!("\nsustained throughput: {:.1} requests/sec over localhost TCP", report.rps);
-            let txt_path = std::path::PathBuf::from(format!("{out}.txt"));
-            let json_path = std::path::PathBuf::from(format!("{out}.json"));
-            if let Some(dir) = txt_path.parent() {
-                std::fs::create_dir_all(dir).expect("creating results dir");
-            }
-            std::fs::write(&txt_path, report.render_text()).expect("writing chaos text report");
-            std::fs::write(&json_path, report.render_json()).expect("writing chaos json report");
-            println!("wrote {} and {}", txt_path.display(), json_path.display());
+            println!("{}", write_report(&out, &report.render_text(), &report.render_json()));
             if !report.passed {
                 eprintln!("serve chaos audit FAILED (see failures above)");
                 std::process::exit(1);
@@ -757,14 +695,7 @@ fn main() {
                 "\nsustained throughput: {:.1} requests/sec, mean verify latency {} ns",
                 report.rps, report.mean_verify_ns
             );
-            let txt_path = std::path::PathBuf::from(format!("{out}.txt"));
-            let json_path = std::path::PathBuf::from(format!("{out}.json"));
-            if let Some(dir) = txt_path.parent() {
-                std::fs::create_dir_all(dir).expect("creating results dir");
-            }
-            std::fs::write(&txt_path, report.render_text()).expect("writing obs text report");
-            std::fs::write(&json_path, report.render_json()).expect("writing obs json report");
-            println!("wrote {} and {}", txt_path.display(), json_path.display());
+            println!("{}", write_report(&out, &report.render_text(), &report.render_json()));
             if !report.passed {
                 eprintln!("observability audit FAILED (see failures above)");
                 std::process::exit(1);

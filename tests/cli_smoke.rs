@@ -89,7 +89,9 @@ fn bench_graph_smoke_writes_parseable_snapshot() {
         assert!(text.contains(name), "missing {name} in: {text}");
     }
     let doc = std::fs::read_to_string(&out_path).expect("bench-graph snapshot");
-    let entries = pdip_bench::graphbench::parse_graphbench_json(&doc).expect("snapshot parses");
+    let entries = pdip_bench::snapshot::Snapshot::parse(&doc, &pdip_bench::snapshot::GRAPH)
+        .expect("snapshot parses")
+        .entries;
     assert!(entries.len() >= 5, "expected all five benchmarks, got {}", entries.len());
     assert!(doc.contains("\"mode\": \"smoke\""));
     let _ = std::fs::remove_file(out_path);
