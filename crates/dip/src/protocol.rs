@@ -50,6 +50,38 @@ pub trait DipProtocol {
     }
 }
 
+/// A borrowed protocol is a protocol, so wrappers such as `Amplified`
+/// can take `&dyn DipProtocol`.
+impl<P: DipProtocol + ?Sized> DipProtocol for &P {
+    fn name(&self) -> String {
+        (**self).name()
+    }
+    fn rounds(&self) -> usize {
+        (**self).rounds()
+    }
+    fn instance_size(&self) -> usize {
+        (**self).instance_size()
+    }
+    fn is_yes_instance(&self) -> bool {
+        (**self).is_yes_instance()
+    }
+    fn run_honest(&self, seed: u64) -> RunResult {
+        (**self).run_honest(seed)
+    }
+    fn cheat_names(&self) -> Vec<String> {
+        (**self).cheat_names()
+    }
+    fn run_cheat(&self, strategy: usize, seed: u64) -> RunResult {
+        (**self).run_cheat(strategy, seed)
+    }
+    fn run_honest_traced(&self, seed: u64, rec: &dyn Recorder) -> RunResult {
+        (**self).run_honest_traced(seed, rec)
+    }
+    fn run_cheat_traced(&self, strategy: usize, seed: u64, rec: &dyn Recorder) -> RunResult {
+        (**self).run_cheat_traced(strategy, seed, rec)
+    }
+}
+
 /// Empirical acceptance rate over `trials` runs with distinct seeds.
 ///
 /// Zero trials means zero observed acceptances: the rate is defined as

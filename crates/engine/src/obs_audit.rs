@@ -26,31 +26,29 @@
 //!   ([`pdip_obs::MetricsSnapshot::render_deterministic`] — counter
 //!   totals and histogram counts, no bucket shapes, sums, or gauges)
 //!   digests byte-identically at 1 and 4 worker threads.
-//! * **Fault attribution.** Under the E13 fault mix, every injected
-//!   fault lands in exactly the right `conn_faults_total{class=…}`
-//!   counter, every injected panic in `panics_total`, every
-//!   over-capacity request in `requests_total{status="busy"}` — and the
-//!   flight recorder's `conn-fault` event sequence replays the
-//!   injection order.
+//! * **Fault attribution.** Every entry of the wire-fault catalogue in
+//!   `serve/harness.rs` that the server sees is injected against
+//!   servers sharing one registry; every injected fault lands in
+//!   exactly the right `conn_faults_total{class=…}` counter, every
+//!   injected panic in `panics_total`, every over-capacity request in
+//!   `requests_total{status="busy"}` — and the flight recorder's
+//!   `conn-fault` event sequence replays the injection order. The
+//!   expected counts and labels are derived from the catalogue.
 //!
 //! Timing data (requests/sec, mean verify latency) is reported but
 //! never digested; the committed artifact's deterministic payload is
 //! guarded by `tests/e14_freshness.rs`.
 
 use crate::report::render_table;
-use crate::seed::sub_seed;
 use crate::serve::harness::{
-    connect, held_storm, honest_blob, read_responses, send_verifies, stream_mix, MixSession,
+    read_responses, shutdown_and_drain, stream_mix, trial_seed, MixSession, WireFault, CATALOGUE,
+    STORM_QUEUE,
 };
-use crate::serve::{
-    decode_response, panic_blob, read_frame, spawn_server, write_frame, Gate, ServeConfig,
-    ServeObs, Status, REQ_SHUTDOWN, REQ_STATS,
-};
+use crate::serve::{spawn_server, write_frame, Gate, ServeConfig, ServeObs, Status, REQ_STATS};
 use pdip_obs::MetricsSnapshot;
 use pdip_wire::{fnv1a64, frame::fault};
 use std::io::Write;
 use std::sync::Arc;
-use std::time::Duration;
 
 /// Base seed of the committed E14 artifacts.
 pub const E14_SEED: u64 = 0xe14;
@@ -140,23 +138,7 @@ pub fn metrics_determinism_probe(base_seed: u64, threads: usize) -> Result<Metri
         && stats_resp.detail.contains("latency_verify_ns_count");
 
     // Graceful shutdown: ack + final drain stats frame, then EOF.
-    write_frame(&mut s, &[REQ_SHUTDOWN])
-        .and_then(|()| s.flush())
-        .map_err(|e| format!("send shutdown: {e}"))?;
-    let mut drain_detail = String::new();
-    loop {
-        match read_frame(&mut s) {
-            Ok(Some(p)) => {
-                if let Some(r) = decode_response(&p) {
-                    if r.status == Status::Stats {
-                        drain_detail = r.detail;
-                    }
-                }
-            }
-            Ok(None) => break,
-            Err(e) => return Err(format!("recv drain: {e}")),
-        }
-    }
+    let (_, drain_detail) = shutdown_and_drain(&mut s, || {})?;
     let server_stats = server.stop().map_err(|e| format!("stop: {e}"))?;
     let fin = obs.snapshot();
 
@@ -238,146 +220,58 @@ struct FaultMix {
     failures: Vec<String>,
 }
 
-/// Injects the E13 fault mix — sequential per-class sub-servers all
-/// sharing one [`ServeObs`] — and checks that every injection landed in
-/// exactly the right counter and that the flight recorder replays the
-/// injection order.
+/// The total of one per-injection server-side effect over `trials`
+/// injections of every catalogue entry. Entries without a server-side
+/// effect add nothing, so this is also the total over the entries E14
+/// drives.
+fn catalogue_total(trials: usize, effect: impl Fn(&WireFault) -> u64) -> u64 {
+    trials as u64 * CATALOGUE.iter().map(effect).sum::<u64>()
+}
+
+/// Injects every catalogue entry the server sees (so
+/// `garbage-interleaved` stays E13-only) — sequential per-class servers
+/// all sharing one [`ServeObs`] — and checks that every injection landed
+/// in exactly the right counter and that the flight recorder replays
+/// the injection order.
 fn fault_mix(trials: usize, base_seed: u64) -> Result<FaultMix, String> {
     // A deep ring so no conn-fault event scrolls off before the replay
     // check reads it back.
     let obs =
         Arc::new(ServeObs::with_options(1024, crate::serve::obs::DEFAULT_SLOW_THRESHOLD, None));
-    let base_cfg = || ServeConfig {
-        threads: 2,
-        queue_cap: 64,
-        deadline: None,
-        read_deadline: Some(Duration::from_secs(5)),
-        obs: Some(Arc::clone(&obs)),
-        ..ServeConfig::default()
-    };
     let mut failures = Vec::new();
-
-    // Class 1: truncated frame — declared length exceeds the bytes sent.
-    {
-        let server = spawn_server(base_cfg()).map_err(|e| format!("spawn truncated: {e}"))?;
-        for t in 0..trials {
-            let mut s = connect(server.port()).map_err(|e| format!("truncated connect: {e}"))?;
-            s.write_all(&64u32.to_le_bytes()).map_err(|e| format!("truncated send: {e}"))?;
-            s.write_all(&[0xab; 10]).map_err(|e| format!("truncated send: {e}"))?;
-            s.flush().map_err(|e| format!("truncated flush: {e}"))?;
-            s.shutdown(std::net::Shutdown::Write).map_err(|e| format!("truncated: {e}"))?;
-            let r = read_responses(&mut s, 1)?;
-            if r[0].status != Status::ConnError || !r[0].detail.starts_with(fault::TRUNCATED_FRAME)
-            {
-                failures.push(format!("truncated trial {t}: got {:?}", r[0]));
-            }
-        }
-        server.stop().map_err(|e| format!("truncated stop: {e}"))?;
-    }
-
-    // Class 2: mid-frame disconnect — partial header, hard close. The
-    // server classifies it server-side (nobody is left to answer);
-    // mid-frame EOF maps to the truncated-frame class too.
-    {
-        let server = spawn_server(base_cfg()).map_err(|e| format!("spawn mid-frame: {e}"))?;
-        for _ in 0..trials {
-            let mut s = connect(server.port()).map_err(|e| format!("mid-frame connect: {e}"))?;
-            s.write_all(&64u32.to_le_bytes()[..2]).map_err(|e| format!("mid-frame send: {e}"))?;
-            s.flush().map_err(|e| format!("mid-frame flush: {e}"))?;
-            drop(s);
-            // Let the reader observe the EOF before the next injection
-            // (and before the drain suppresses fault classification).
-            std::thread::sleep(Duration::from_millis(50));
-        }
-        server.stop().map_err(|e| format!("mid-frame stop: {e}"))?;
-    }
-
-    // Class 3: oversized length declaration.
-    {
-        let mut cfg = base_cfg();
-        cfg.max_frame_bytes = 1 << 20;
-        let server = spawn_server(cfg).map_err(|e| format!("spawn oversized: {e}"))?;
-        for t in 0..trials {
-            let mut s = connect(server.port()).map_err(|e| format!("oversized connect: {e}"))?;
-            s.write_all(&((1u32 << 20) + 1).to_le_bytes())
-                .map_err(|e| format!("oversized send: {e}"))?;
-            s.flush().map_err(|e| format!("oversized flush: {e}"))?;
-            let r = read_responses(&mut s, 1)?;
-            if r[0].status != Status::ConnError || !r[0].detail.starts_with(fault::OVERSIZED_FRAME)
-            {
-                failures.push(format!("oversized trial {t}: got {:?}", r[0]));
-            }
-        }
-        server.stop().map_err(|e| format!("oversized stop: {e}"))?;
-    }
-
-    // Class 4: read stall — half a header, then silence past the
-    // per-frame read deadline.
-    {
-        let mut cfg = base_cfg();
-        cfg.read_deadline = Some(Duration::from_millis(80));
-        let server = spawn_server(cfg).map_err(|e| format!("spawn stall: {e}"))?;
-        for t in 0..trials {
-            let mut s = connect(server.port()).map_err(|e| format!("stall connect: {e}"))?;
-            s.write_all(&32u32.to_le_bytes()[..2]).map_err(|e| format!("stall send: {e}"))?;
-            s.flush().map_err(|e| format!("stall flush: {e}"))?;
-            std::thread::sleep(Duration::from_millis(300));
-            let r = read_responses(&mut s, 1)?;
-            if r[0].status != Status::ConnError || !r[0].detail.starts_with(fault::READ_STALL) {
-                failures.push(format!("stall trial {t}: got {:?}", r[0]));
-            }
-        }
-        server.stop().map_err(|e| format!("stall stop: {e}"))?;
-    }
-
-    // Panic injection: each blob panics inside a worker; the panic is
-    // answered, counted, and flight-recorded.
-    {
-        let token = 0xe14_dead;
-        let mut cfg = base_cfg();
-        cfg.panic_token = Some(token);
-        let server = spawn_server(cfg).map_err(|e| format!("spawn panic: {e}"))?;
-        for t in 0..trials {
-            let mut s = connect(server.port()).map_err(|e| format!("panic connect: {e}"))?;
-            send_verifies(&mut s, [panic_blob(token)]).map_err(|e| format!("panic {e}"))?;
-            let r = read_responses(&mut s, 1)?;
-            if r[0].status != Status::Malformed || !r[0].detail.starts_with("panic:") {
-                failures.push(format!("panic trial {t}: got {:?}", r[0]));
-            }
-        }
-        server.stop().map_err(|e| format!("panic stop: {e}"))?;
-    }
-
-    // Busy storm: 12 requests into a held 4-slot queue per trial —
-    // exactly 8 busy rejections, then 4 verdicts once the gate opens.
     let mut busy_verified = 0u64;
-    for t in 0..trials {
-        let gate = Gate::closed();
-        let mut cfg = base_cfg();
-        cfg.queue_cap = 4;
-        cfg.hold = Some(gate.clone());
-        let server = spawn_server(cfg).map_err(|e| format!("spawn busy: {e}"))?;
-        let blobs = vec![honest_blob(sub_seed(base_seed, 0xb5 + t as u64)); 12];
-        let (early, late) =
-            held_storm(server.port(), &gate, 4, &blobs).map_err(|e| format!("busy {e}"))?;
-        if !early.iter().all(|r| r.status == Status::Busy) {
-            failures.push(format!("busy trial {t}: a pre-gate response was not busy"));
+    let mut expected_labels = Vec::new();
+    let driven = CATALOGUE.iter().enumerate();
+    for (ci, fault) in driven.filter(|(_, f)| f.counts_as.is_some() || f.panics + f.busy > 0) {
+        let name = fault.name;
+        let seeds: Vec<u64> = (0..trials).map(|t| trial_seed(base_seed, ci, t)).collect();
+        // One server per class, except that a class holding the workers
+        // opens its gate on every injection and so needs one per trial.
+        let per_server = if fault.holds_workers() { 1 } else { trials.max(1) };
+        for batch in seeds.chunks(per_server) {
+            let gate = Gate::closed();
+            let cfg = ServeConfig { obs: Some(Arc::clone(&obs)), ..fault.config(&gate) };
+            let server = spawn_server(cfg).map_err(|e| format!("spawn {name}: {e}"))?;
+            for &seed in batch {
+                if !fault.inject(server.port(), &gate, seed).map_err(|e| format!("{name}: {e}"))? {
+                    failures.push(format!("{name} seed {seed:#x}: unexpected responses"));
+                }
+                expected_labels.extend(fault.counts_as);
+            }
+            gate.open();
+            let stats = server.stop().map_err(|e| format!("{name} stop: {e}"))?;
+            if fault.busy > 0 {
+                busy_verified += stats.accepted;
+            }
         }
-        busy_verified += late.iter().filter(|r| r.status == Status::Accept).count() as u64;
-        server.stop().map_err(|e| format!("busy stop: {e}"))?;
     }
 
     // Attribution: every injection, and nothing else, in its counter.
     let snap = obs.snapshot();
-    let t = trials as u64;
     let fault_counts: Vec<(&'static str, u64, u64)> = fault::ALL
         .iter()
         .map(|&class| {
-            let expected = match class {
-                fault::TRUNCATED_FRAME => 2 * t, // truncated + mid-frame
-                fault::OVERSIZED_FRAME | fault::READ_STALL => t,
-                _ => 0,
-            };
+            let expected = catalogue_total(trials, |f| u64::from(f.counts_as == Some(class)));
             let got = snap.counter(&format!("conn_faults_total{{class=\"{class}\"}}")).unwrap_or(0);
             (class, expected, got)
         })
@@ -387,39 +281,40 @@ fn fault_mix(trials: usize, base_seed: u64) -> Result<FaultMix, String> {
             failures.push(format!("conn_faults_total{{{class}}}: {got} != expected {expected}"));
         }
     }
+    let panics_expected = catalogue_total(trials, |f| f.panics);
     let panics_observed = snap.counter("panics_total").unwrap_or(0);
-    if panics_observed != t {
-        failures.push(format!("panics_total: {panics_observed} != expected {t}"));
+    if panics_observed != panics_expected {
+        failures.push(format!("panics_total: {panics_observed} != expected {panics_expected}"));
     }
+    let busy_expected = catalogue_total(trials, |f| f.busy);
     let busy_observed = snap.counter("requests_total{status=\"busy\"}").unwrap_or(0);
-    if busy_observed != 8 * t {
-        failures.push(format!("requests_total{{busy}}: {busy_observed} != expected {}", 8 * t));
+    if busy_observed != busy_expected {
+        failures
+            .push(format!("requests_total{{busy}}: {busy_observed} != expected {busy_expected}"));
     }
-    if busy_verified != 4 * t {
-        failures.push(format!("busy storm verified {busy_verified} != expected {}", 4 * t));
+    let verified_expected = catalogue_total(trials, |f| STORM_QUEUE as u64 * u64::from(f.busy > 0));
+    if busy_verified != verified_expected {
+        failures
+            .push(format!("busy storm verified {busy_verified} != expected {verified_expected}"));
     }
 
     // Flight replay: the conn-fault event labels must reproduce the
-    // injection order, and every panic must have left an event.
+    // injection order, and every panic and busy rejection must have
+    // left an event.
     let events = obs.flight().snapshot();
+    let count = |kind: &str| events.iter().filter(|e| e.kind == kind).count() as u64;
     let conn_fault_labels: Vec<&str> =
         events.iter().filter(|e| e.kind == "conn-fault").map(|e| e.label).collect();
-    let mut expected_labels = Vec::new();
-    for class in [fault::TRUNCATED_FRAME, fault::TRUNCATED_FRAME] {
-        expected_labels.extend(std::iter::repeat_n(class, trials));
-    }
-    expected_labels.extend(std::iter::repeat_n(fault::OVERSIZED_FRAME, trials));
-    expected_labels.extend(std::iter::repeat_n(fault::READ_STALL, trials));
     let flight_replay_ok = conn_fault_labels == expected_labels
-        && events.iter().filter(|e| e.kind == "panic").count() == trials
-        && events.iter().filter(|e| e.kind == "busy").count() == 8 * trials
+        && count("panic") == panics_expected
+        && count("busy") == busy_expected
         && obs.flight().dropped() == 0;
     if !flight_replay_ok {
         failures.push(format!(
             "flight replay: conn-fault labels {conn_fault_labels:?} != {expected_labels:?} \
              (panics={}, busy={}, dropped={})",
-            events.iter().filter(|e| e.kind == "panic").count(),
-            events.iter().filter(|e| e.kind == "busy").count(),
+            count("panic"),
+            count("busy"),
             obs.flight().dropped()
         ));
     }
@@ -540,7 +435,6 @@ pub fn run_obs_audit(spec: &ObsAuditSpec, base_seed: u64) -> ObsAuditReport {
             None
         }
     };
-    let t = spec.fault_trials as u64;
     let (fault_counts, panics_observed, busy_observed, busy_verified, flight_events, replay_ok) =
         match mix {
             Some(m) => (
@@ -556,7 +450,7 @@ pub fn run_obs_audit(spec: &ObsAuditSpec, base_seed: u64) -> ObsAuditReport {
 
     ObsAuditReport {
         seed: base_seed,
-        fault_trials: t,
+        fault_trials: spec.fault_trials as u64,
         threads: spec.threads.clone(),
         requests,
         accepted,
@@ -569,9 +463,9 @@ pub fn run_obs_audit(spec: &ObsAuditSpec, base_seed: u64) -> ObsAuditReport {
         conserved,
         stats_frame_ok,
         fault_counts,
-        panics_expected: t,
+        panics_expected: catalogue_total(spec.fault_trials, |f| f.panics),
         panics_observed,
-        busy_expected: 8 * t,
+        busy_expected: catalogue_total(spec.fault_trials, |f| f.busy),
         busy_observed,
         busy_verified,
         flight_events,

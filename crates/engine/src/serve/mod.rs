@@ -550,7 +550,7 @@ pub fn run_serve_smoke(threads: &[usize], base_seed: u64) -> ServeSmokeReport {
         storm
     });
     let probe_responses = match probe {
-        Ok((early, late)) => [early, late].concat(),
+        Ok(responses) => responses,
         Err(e) => {
             failures.push(format!("busy probe: {e}"));
             Vec::new()

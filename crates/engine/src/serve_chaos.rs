@@ -1,12 +1,15 @@
 //! E13: chaos at the wire — the concurrent serve front-end under
 //! connection-level fault injection.
 //!
-//! The audit reuses the PR-4 chaos [`Mutator`] one layer down: instead
-//! of corrupting transcript *bytes*, it corrupts connection *behaviour*
-//! — mid-frame disconnects, truncated and interleaved frames, stalled
-//! writers, oversized length declarations, panic-inducing blobs, and
-//! busy storms over queue capacity. Every cell spawns a fresh server
-//! ([`spawn_server`]) so per-trial server-side statistics are exact.
+//! The audit runs every entry of the wire-fault catalogue in
+//! `serve/harness.rs` (the one place connection faults are written, and
+//! shared with E14): mid-frame disconnects, truncated and interleaved
+//! frames, stalled writers, oversized length declarations,
+//! panic-inducing blobs, and busy storms over queue capacity. Each entry
+//! corrupts connection *behaviour* with the E9 chaos `Mutator`, and
+//! its expected client response and server-side counts come from the
+//! table. Every trial spawns a fresh server ([`spawn_server`]) so
+//! per-trial server-side statistics are exact.
 //!
 //! Gating invariants (all re-derivable from the committed JSON, see
 //! `tests/e13_freshness.rs`):
@@ -30,20 +33,15 @@
 //! the committed artifact's deterministic payload never includes it in
 //! a byte-compared digest.
 
-use crate::chaos::Mutator;
 use crate::report::render_table;
 use crate::seed::sub_seed;
 use crate::serve::harness::{
-    connect, held_storm, honest_blob, mix_records, read_responses, send_verifies, verify_frame,
+    connect, honest_blob, honest_roundtrip, mix_records, send_verifies, shutdown_and_drain,
+    trial_seed, WireFault, CATALOGUE, STORM_QUEUE, STORM_REQUESTS,
 };
-use crate::serve::{
-    decode_response, panic_blob, read_frame, spawn_server, write_frame, Gate, ServeConfig, Status,
-    REQ_SHUTDOWN,
-};
-use pdip_wire::{fnv1a64, frame::fault};
-use std::io::Write;
+use crate::serve::{spawn_server, Gate, ServeConfig, ServeStats, Status};
+use pdip_wire::fnv1a64;
 use std::iter::repeat_n;
-use std::net::Shutdown;
 use std::time::{Duration, Instant};
 
 /// Base seed of the committed E13 artifacts.
@@ -73,21 +71,10 @@ impl ServeChaosSpec {
     }
 }
 
-/// The seven injected fault classes.
-const CLASSES: [&str; 7] = [
-    "mid-frame-disconnect",
-    fault::TRUNCATED_FRAME,
-    "garbage-interleaved",
-    "stalled-writer",
-    "oversized-length",
-    "panic-blob",
-    "busy-storm",
-];
-
 /// One class's aggregated outcome.
 #[derive(Debug, Clone)]
 pub struct ChaosCell {
-    /// Stable class name (see [`CLASSES`]).
+    /// Stable class name (the wire-fault catalogue's entry name).
     pub class: &'static str,
     /// Trials run.
     pub trials: u64,
@@ -150,210 +137,64 @@ pub struct ServeChaosReport {
     pub failures: Vec<String>,
 }
 
-/// Runs `victims` honest requests on their own connection; returns how
-/// many accepted, or an error string on transport failure.
-fn victim_roundtrip(port: u16, victims: usize, seed: u64) -> Result<u64, String> {
-    if victims == 0 {
-        return Ok(0);
-    }
-    let blob = honest_blob(seed);
-    let mut s = connect(port).map_err(|e| format!("victim connect: {e}"))?;
-    send_verifies(&mut s, repeat_n(&blob, victims)).map_err(|e| format!("victim {e}"))?;
-    let responses = read_responses(&mut s, victims)?;
-    Ok(responses.iter().filter(|r| r.status == Status::Accept).count() as u64)
-}
-
-/// The server configuration of one chaos cell.
-fn cell_config(class: &str, hold: Option<Gate>) -> ServeConfig {
-    let mut cfg = ServeConfig {
-        threads: 2,
-        queue_cap: 64,
-        deadline: None,
-        read_deadline: Some(Duration::from_secs(5)),
-        ..ServeConfig::default()
-    };
-    match class {
-        "stalled-writer" => cfg.read_deadline = Some(Duration::from_millis(80)),
-        // Far above any honest blob in this audit, far below the
-        // default: the attacker's declaration exceeds it, victims don't.
-        "oversized-length" => cfg.max_frame_bytes = 1 << 20,
-        "panic-blob" => cfg.panic_token = Some(0xdead_beef),
-        "busy-storm" => {
-            cfg.queue_cap = 4;
-            cfg.hold = hold;
-        }
-        _ => {}
-    }
-    cfg
-}
-
+#[derive(Default)]
 struct CellOutcome {
-    conn_faults: u64,
+    /// The server's final stats (default when it failed to spawn or stop).
+    stats: ServeStats,
     victim_clean: u64,
     victim_requests: u64,
     confirmed: bool,
     escaped: bool,
-    busy: Option<(u64, u64)>, // (busy rejections, verified)
     failures: Vec<String>,
 }
 
-/// Runs one fault-injection trial of `class` against a fresh server.
-fn run_trial(class: &'static str, spec: &ServeChaosSpec, seed: u64) -> CellOutcome {
-    let mut m = Mutator::new(seed);
-    let mut failures = Vec::new();
+/// Runs one trial of catalogue entry `fault` against a fresh server,
+/// then an honest victim next to it.
+fn run_trial(fault: &WireFault, spec: &ServeChaosSpec, seed: u64) -> CellOutcome {
+    let name = fault.name;
+    let mut out = CellOutcome::default();
     let gate = Gate::closed();
-    let cfg = cell_config(class, Some(gate.clone()));
-    let server = match spawn_server(cfg) {
+    let server = match spawn_server(fault.config(&gate)) {
         Ok(s) => s,
         Err(e) => {
-            return CellOutcome {
-                conn_faults: 0,
-                victim_clean: 0,
-                victim_requests: 0,
-                confirmed: false,
-                escaped: false,
-                busy: None,
-                failures: vec![format!("{class}: spawn: {e}")],
-            }
+            out.failures.push(format!("{name}: spawn: {e}"));
+            return out;
         }
     };
     let port = server.port();
-    let mut confirmed = false;
-    let mut busy = None;
-    let run_victim = class != "busy-storm";
-
-    let attack: Result<bool, String> = (|| match class {
-        "mid-frame-disconnect" => {
-            // Partial header, then a hard close: the server must
-            // classify a truncated frame without anyone left to tell.
-            let mut s = connect(port).map_err(|e| e.to_string())?;
-            let cut = 1 + m.index(3); // 1..=3 of the 4 header bytes
-            let header = 64u32.to_le_bytes();
-            s.write_all(&header[..cut]).map_err(|e| e.to_string())?;
-            s.flush().map_err(|e| e.to_string())?;
-            drop(s);
-            Ok(true) // confirmation is server-side (conn_faults)
-        }
-        fault::TRUNCATED_FRAME => {
-            // Declared length exceeds the bytes sent; half-close keeps
-            // our read side open to catch the structured answer.
-            let mut s = connect(port).map_err(|e| e.to_string())?;
-            let declared = 64 + m.index(64);
-            let sent = m.index(declared);
-            s.write_all(&(declared as u32).to_le_bytes()).map_err(|e| e.to_string())?;
-            s.write_all(&vec![0xab; sent]).map_err(|e| e.to_string())?;
-            s.flush().map_err(|e| e.to_string())?;
-            s.shutdown(Shutdown::Write).map_err(|e| e.to_string())?;
-            let r = read_responses(&mut s, 1)?;
-            Ok(r[0].status == Status::ConnError && r[0].detail.starts_with(fault::TRUNCATED_FRAME))
-        }
-        "garbage-interleaved" => {
-            // Honest, unknown-tag, corrupted-blob, honest on ONE
-            // connection: per-request verdicts, no connection fault.
-            let good = honest_blob(seed ^ 0x60);
-            let mut junk = good.clone();
-            let (i, j) = m.pair(junk.len());
-            junk[i] ^= 0x40;
-            junk[j] = junk[j].wrapping_add(1 + m.index(255) as u8);
-            junk.truncate(junk.len() - 1 - m.index(junk.len() / 2));
-            let mut s = connect(port).map_err(|e| e.to_string())?;
-            write_frame(&mut s, &verify_frame(&good)).map_err(|e| e.to_string())?;
-            write_frame(&mut s, &[0x66, 0x6f, 0x6f]).map_err(|e| e.to_string())?;
-            write_frame(&mut s, &verify_frame(&junk)).map_err(|e| e.to_string())?;
-            write_frame(&mut s, &verify_frame(&good)).map_err(|e| e.to_string())?;
-            s.flush().map_err(|e| e.to_string())?;
-            let r = read_responses(&mut s, 4)?;
-            Ok(r[0].status == Status::Accept
-                && r[1].status == Status::Malformed
-                && r[1].detail.contains("unknown request tag")
-                && r[2].status == Status::Malformed
-                && r[3].status == Status::Accept)
-        }
-        "stalled-writer" => {
-            // Half a header, then silence past the read deadline.
-            let mut s = connect(port).map_err(|e| e.to_string())?;
-            let cut = 1 + m.index(3);
-            let header = 32u32.to_le_bytes();
-            s.write_all(&header[..cut]).map_err(|e| e.to_string())?;
-            s.flush().map_err(|e| e.to_string())?;
-            std::thread::sleep(Duration::from_millis(300));
-            let r = read_responses(&mut s, 1)?;
-            Ok(r[0].status == Status::ConnError && r[0].detail.starts_with(fault::READ_STALL))
-        }
-        "oversized-length" => {
-            // Header declaring cap+1+jitter bytes: rejected before any
-            // allocation, answered with the oversized-frame class.
-            let mut s = connect(port).map_err(|e| e.to_string())?;
-            let declared = (1u32 << 20) + 1 + m.index(1 << 20) as u32;
-            s.write_all(&declared.to_le_bytes()).map_err(|e| e.to_string())?;
-            s.flush().map_err(|e| e.to_string())?;
-            let r = read_responses(&mut s, 1)?;
-            Ok(r[0].status == Status::ConnError && r[0].detail.starts_with(fault::OVERSIZED_FRAME))
-        }
-        "panic-blob" => {
-            // The panic-injection blob, then an honest request on the
-            // same connection: the panic poisons only its own request.
-            let mut s = connect(port).map_err(|e| e.to_string())?;
-            send_verifies(&mut s, [panic_blob(0xdead_beef), honest_blob(seed ^ 0x9a)])?;
-            let r = read_responses(&mut s, 2)?;
-            Ok(r[0].status == Status::Malformed
-                && r[0].detail.starts_with("panic:")
-                && r[1].status == Status::Accept)
-        }
-        "busy-storm" => {
-            // 12 requests into a held 4-slot queue: exactly 8 busy
-            // rejections at deterministic seqs, then 4 verdicts once
-            // the gate opens. Every request is answered.
-            let (early, late) = held_storm(port, &gate, 4, &vec![honest_blob(seed ^ 0xb5); 12])?;
-            let busy_ok = early.iter().all(|r| r.status == Status::Busy)
-                && early.iter().map(|r| r.seq).eq(4u64..12);
-            let verified = late.iter().filter(|r| r.status == Status::Accept).count() as u64;
-            let late_ok = late.iter().map(|r| r.seq).eq(0u64..4) && verified == 4;
-            busy = Some((early.len() as u64, verified));
-            Ok(busy_ok && late_ok)
-        }
-        other => Err(format!("unknown class {other}")),
-    })();
-
-    match attack {
-        Ok(ok) => confirmed = ok,
-        Err(e) => failures.push(format!("{class}: {e}")),
+    match fault.inject(port, &gate, seed) {
+        Ok(ok) => out.confirmed = ok,
+        Err(e) => out.failures.push(format!("{name}: {e}")),
     }
 
     // The victim runs AFTER the fault: its full round-trip proves the
     // serving threads recycled and no cross-connection damage occurred.
-    let (victim_clean, victim_requests) = if run_victim {
-        match victim_roundtrip(port, spec.victims, seed ^ 0x71c) {
-            Ok(clean) => (clean, spec.victims as u64),
-            Err(e) => {
-                failures.push(format!("{class}: {e}"));
-                (0, spec.victims as u64)
-            }
+    // A held server's verdicts are the storm's own, so it gets none.
+    if !fault.holds_workers() {
+        out.victim_requests = spec.victims as u64;
+        match honest_roundtrip(port, spec.victims, seed ^ 0x71c) {
+            Ok(clean) => out.victim_clean = clean,
+            Err(e) => out.failures.push(format!("{name}: victim {e}")),
         }
-    } else {
-        (0, 0)
-    };
-
-    // Hard-close faults are classified server-side; give the reader
-    // thread a beat to observe the EOF before stopping.
-    if class == "mid-frame-disconnect" {
-        std::thread::sleep(Duration::from_millis(50));
     }
+
     gate.open();
-    let (conn_faults, escaped) = match server.stop() {
+    match server.stop() {
         Ok(stats) => {
-            if class == "panic-blob" && stats.panics != 1 {
-                failures.push(format!("{class}: expected 1 worker panic, got {}", stats.panics));
+            if stats.panics != fault.panics {
+                out.failures.push(format!(
+                    "{name}: expected {} worker panics, got {}",
+                    fault.panics, stats.panics
+                ));
             }
-            (stats.conn_faults, false)
+            out.stats = stats;
         }
         Err(e) => {
-            failures.push(format!("{class}: server stop: {e}"));
-            (0, true)
+            out.failures.push(format!("{name}: server stop: {e}"));
+            out.escaped = true;
         }
-    };
-
-    CellOutcome { conn_faults, victim_clean, victim_requests, confirmed, escaped, busy, failures }
+    }
+    out
 }
 
 /// Streams the full E12 request mix through a live server at `threads`
@@ -382,34 +223,15 @@ fn drain_probe(seed: u64) -> Result<(u64, u64, bool), String> {
     let mut s = connect(server.port()).map_err(|e| format!("connect: {e}"))?;
     let n = 16u64;
     send_verifies(&mut s, repeat_n(&blob, n as usize))?;
-    write_frame(&mut s, &[REQ_SHUTDOWN]).map_err(|e| format!("send shutdown: {e}"))?;
-    s.flush().map_err(|e| format!("flush: {e}"))?;
-    // Workers are held, so the first frame back is the shutdown ack.
-    let ack = read_responses(&mut s, 1)?;
-    if ack[0].status != Status::ShutdownAck {
-        return Err(format!("expected shutdown-ack first, got {}", ack[0].status.name()));
+    // Workers are held, so the first frame back is the shutdown ack;
+    // all 16 queued verdicts stream back once the gate opens.
+    let (verdicts, stats) = shutdown_and_drain(&mut s, || gate.open())?;
+    if let Some(r) = verdicts.iter().find(|r| r.status != Status::Accept) {
+        return Err(format!("unexpected {} during drain", r.status.name()));
     }
-    gate.open();
-    // All 16 queued verdicts stream back, then the final stats frame.
-    let mut completed = 0u64;
-    let mut stats_ok = false;
-    for _ in 0..=n {
-        match read_frame(&mut s) {
-            Ok(Some(p)) => match decode_response(&p) {
-                Some(r) if r.status == Status::Stats => {
-                    stats_ok = r.detail.contains("drained=ok")
-                        && r.detail.contains(&format!("accept={n}"));
-                }
-                Some(r) if r.status == Status::Accept => completed += 1,
-                Some(r) => return Err(format!("unexpected {} during drain", r.status.name())),
-                None => return Err("undecodable frame during drain".into()),
-            },
-            Ok(None) => break,
-            Err(e) => return Err(format!("recv during drain: {e}")),
-        }
-    }
+    let stats_ok = stats.contains("drained=ok") && stats.contains(&format!("accept={n}"));
     server.stop().map_err(|e| format!("stop: {e}"))?;
-    Ok((n, completed, stats_ok))
+    Ok((n, verdicts.len() as u64, stats_ok))
 }
 
 /// Sustained throughput over localhost TCP (timing data): `n` honest
@@ -417,19 +239,12 @@ fn drain_probe(seed: u64) -> Result<(u64, u64, bool), String> {
 fn throughput_probe(seed: u64, n: usize) -> Result<(u64, f64), String> {
     let cfg = ServeConfig { queue_cap: n.max(1), ..ServeConfig::default() };
     let server = spawn_server(cfg).map_err(|e| format!("spawn: {e}"))?;
-    let blob = honest_blob(seed);
     let half = n / 2;
     let started = Instant::now();
     let mut handles = Vec::new();
     for part in [half, n - half] {
         let port = server.port();
-        let blob = blob.clone();
-        handles.push(std::thread::spawn(move || -> Result<u64, String> {
-            let mut s = connect(port).map_err(|e| format!("connect: {e}"))?;
-            send_verifies(&mut s, repeat_n(&blob, part))?;
-            let r = read_responses(&mut s, part)?;
-            Ok(r.iter().filter(|r| r.status == Status::Accept).count() as u64)
-        }));
+        handles.push(std::thread::spawn(move || honest_roundtrip(port, part, seed)));
     }
     let mut accepted = 0u64;
     for h in handles {
@@ -452,8 +267,10 @@ pub fn run_serve_chaos(spec: &ServeChaosSpec, base_seed: u64) -> ServeChaosRepor
     let mut busy_submitted = 0u64;
     let mut busy_rejected = 0u64;
     let mut busy_verified = 0u64;
+    let (mut expect_rejected, mut expect_verified) = (0u64, 0u64);
 
-    for (ci, class) in CLASSES.iter().enumerate() {
+    for (ci, fault) in CATALOGUE.iter().enumerate() {
+        let class = fault.name;
         let mut cell = ChaosCell {
             class,
             trials: spec.trials as u64,
@@ -465,29 +282,24 @@ pub fn run_serve_chaos(spec: &ServeChaosSpec, base_seed: u64) -> ServeChaosRepor
             passed: false,
         };
         for trial in 0..spec.trials {
-            let seed = sub_seed(base_seed, (ci as u64) * 1000 + trial as u64);
-            let out = run_trial(class, spec, seed);
-            cell.conn_faults += out.conn_faults;
+            let out = run_trial(fault, spec, trial_seed(base_seed, ci, trial));
+            cell.conn_faults += out.stats.conn_faults;
             cell.victim_requests += out.victim_requests;
             cell.victim_clean += out.victim_clean;
             cell.confirmed += u64::from(out.confirmed);
             escaped_panics += u64::from(out.escaped);
-            if let Some((b, v)) = out.busy {
-                busy_submitted += 12;
-                busy_rejected += b;
-                busy_verified += v;
+            if fault.busy > 0 {
+                busy_submitted += STORM_REQUESTS as u64;
+                busy_rejected += out.stats.busy;
+                busy_verified += out.stats.accepted;
+                expect_rejected += fault.busy;
+                expect_verified += STORM_QUEUE as u64;
             }
             failures.extend(out.failures);
         }
-        // Per-class invariants: which classes must produce server-side
-        // connection faults, and which must not.
-        let faults_expected: u64 = match *class {
-            "mid-frame-disconnect"
-            | fault::TRUNCATED_FRAME
-            | "stalled-writer"
-            | "oversized-length" => cell.trials,
-            _ => 0,
-        };
+        // Per-class invariant: the server counts one connection fault
+        // per trial exactly for the classes the catalogue says it does.
+        let faults_expected = cell.trials * u64::from(fault.counts_as.is_some());
         if cell.conn_faults != faults_expected {
             failures.push(format!(
                 "{class}: expected {faults_expected} server-side conn faults, got {}",
@@ -514,8 +326,6 @@ pub fn run_serve_chaos(spec: &ServeChaosSpec, base_seed: u64) -> ServeChaosRepor
 
     // Busy storm accounting: every over-capacity request must have been
     // rejected, every queued one verified.
-    let expect_rejected = (spec.trials as u64) * 8;
-    let expect_verified = (spec.trials as u64) * 4;
     if busy_rejected != expect_rejected || busy_verified != expect_verified {
         failures.push(format!(
             "busy storm: expected {expect_rejected} busy + {expect_verified} verified, \
@@ -576,7 +386,7 @@ pub fn run_serve_chaos(spec: &ServeChaosSpec, base_seed: u64) -> ServeChaosRepor
         trials: spec.trials as u64,
         cells,
         busy_submitted,
-        busy_queue_cap: 4,
+        busy_queue_cap: STORM_QUEUE as u64,
         busy_rejected,
         busy_verified,
         drain_requests,

@@ -1,18 +1,20 @@
-//! The concurrent serve front-end's failure semantics, end-to-end over
-//! real localhost sockets: connection isolation, structured fault
-//! classification, deadlines, busy backpressure, panic containment,
-//! graceful drain, and thread-count-invariant responses.
+//! The concurrent serve front-end end-to-end over real localhost
+//! sockets: connection isolation, dropped connections, graceful drain,
+//! and thread-count-invariant responses. Connection faults (truncated
+//! and oversized frames, stalls, panics, busy storms) live in the
+//! wire-fault catalogue in `src/serve/harness.rs`, whose unit test
+//! injects every class against a live server.
 
 use pdip_engine::chaos::Mutator;
 use pdip_engine::{
-    decode_response, panic_blob, read_frame, spawn_server, write_frame, Gate, Response,
-    ServeConfig, Status, YesInstance,
+    decode_response, read_frame, spawn_server, write_frame, Gate, Response, ServeConfig, Status,
+    YesInstance,
 };
 use pdip_engine::{Family, E13_SEED};
 use pdip_protocols::{PopParams, Transport};
 use pdip_wire::WireInstance;
 use std::io::Write;
-use std::net::{Shutdown, TcpStream};
+use std::net::TcpStream;
 use std::time::Duration;
 
 const REQ_VERIFY: u8 = 0x01;
@@ -117,106 +119,6 @@ fn connection_drop_mid_response_leaves_others_unharmed() {
     // Every submitted request was verified even though the dropper's
     // responses had nowhere to go.
     assert_eq!(stats.accepted, 7);
-}
-
-#[test]
-fn half_written_frame_is_a_structured_conn_error() {
-    let server = spawn_server(small_cfg()).expect("spawn");
-
-    // Declare 80 payload bytes, deliver 10, half-close: the read side
-    // stays open for the structured answer.
-    let mut attacker = connect(server.port());
-    attacker.write_all(&80u32.to_le_bytes()).expect("header");
-    attacker.write_all(&[0xee; 10]).expect("partial payload");
-    attacker.flush().expect("flush");
-    attacker.shutdown(Shutdown::Write).expect("half-close");
-    let r = read_n(&mut attacker, 1);
-    assert_eq!(r[0].status, Status::ConnError);
-    assert!(
-        r[0].detail.starts_with("truncated-frame"),
-        "expected truncated-frame class, got {:?}",
-        r[0].detail
-    );
-
-    // A fresh connection is completely unaffected.
-    let mut victim = connect(server.port());
-    send_verify(&mut victim, &honest_blob(3));
-    assert_eq!(read_n(&mut victim, 1)[0].status, Status::Accept);
-    drop((attacker, victim));
-
-    let stats = server.stop().expect("clean stop");
-    assert_eq!(stats.conn_faults, 1);
-    assert_eq!(stats.accepted, 1);
-}
-
-#[test]
-fn slow_loris_cannot_pin_a_serving_thread() {
-    let cfg = ServeConfig { read_deadline: Some(Duration::from_millis(60)), ..small_cfg() };
-    let server = spawn_server(cfg).expect("spawn");
-
-    // Two header bytes, then silence: the per-frame deadline must cut
-    // the connection loose with a read-stall classification.
-    let mut loris = connect(server.port());
-    loris.write_all(&[4, 0]).expect("partial header");
-    loris.flush().expect("flush");
-    std::thread::sleep(Duration::from_millis(200));
-    let r = read_n(&mut loris, 1);
-    assert_eq!(r[0].status, Status::ConnError);
-    assert!(r[0].detail.starts_with("read-stall"), "got {:?}", r[0].detail);
-
-    // The serving capacity is free again.
-    let mut after = connect(server.port());
-    send_verify(&mut after, &honest_blob(4));
-    assert_eq!(read_n(&mut after, 1)[0].status, Status::Accept);
-    drop((loris, after));
-    let stats = server.stop().expect("clean stop");
-    assert_eq!(stats.conn_faults, 1);
-}
-
-#[test]
-fn busy_backpressure_is_exact_and_every_request_is_answered() {
-    let gate = Gate::closed();
-    let cfg = ServeConfig {
-        threads: 2,
-        queue_cap: 2,
-        deadline: None,
-        hold: Some(gate.clone()),
-        ..ServeConfig::default()
-    };
-    let server = spawn_server(cfg).expect("spawn");
-    let blob = honest_blob(5);
-    let mut s = connect(server.port());
-    for _ in 0..5 {
-        send_verify(&mut s, &blob);
-    }
-    // Workers held: the 3 over-capacity rejections stream back first.
-    let busy = read_n(&mut s, 3);
-    assert!(busy.iter().all(|r| r.status == Status::Busy));
-    assert_eq!(busy.iter().map(|r| r.seq).collect::<Vec<_>>(), vec![2, 3, 4]);
-    gate.open();
-    let done = read_n(&mut s, 2);
-    assert_eq!(done.iter().map(|r| r.seq).collect::<Vec<_>>(), vec![0, 1]);
-    assert!(done.iter().all(|r| r.status == Status::Accept));
-    drop(s);
-    let stats = server.stop().expect("clean stop");
-    assert_eq!(stats.busy, 3);
-    assert_eq!(stats.accepted, 2);
-}
-
-#[test]
-fn worker_panic_poisons_only_its_own_request() {
-    let cfg = ServeConfig { panic_token: Some(0xbad_cafe), ..small_cfg() };
-    let server = spawn_server(cfg).expect("spawn");
-    let mut s = connect(server.port());
-    send_verify(&mut s, &panic_blob(0xbad_cafe));
-    send_verify(&mut s, &honest_blob(6));
-    let r = read_n(&mut s, 2);
-    assert_eq!(r[0].status, Status::Malformed);
-    assert!(r[0].detail.starts_with("panic:"), "got {:?}", r[0].detail);
-    assert_eq!(r[1].status, Status::Accept);
-    drop(s);
-    let stats = server.stop().expect("the panic must not escape the worker");
-    assert_eq!(stats.panics, 1);
 }
 
 #[test]

@@ -95,6 +95,19 @@ fn parse_family(s: &str) -> Family {
     })
 }
 
+/// Parses the cheat-strategy index given to `flag`; anything but an
+/// index below `fam`'s cheat count is a usage error.
+fn parse_cheat(fam: Family, flag: &str, value: &str) -> usize {
+    let count = fam.cheat_count();
+    match value.parse::<usize>() {
+        Ok(idx) if idx < count => idx,
+        _ => {
+            eprintln!("{flag} must be a cheat index below {count} for {}", fam.name());
+            usage()
+        }
+    }
+}
+
 fn flag_value(args: &[String], name: &str) -> Option<String> {
     args.iter().position(|a| a == name).and_then(|i| args.get(i + 1).cloned())
 }
@@ -171,12 +184,16 @@ fn main() {
             let n = flag_num(&args, "--n", 1024);
             let seed = flag_num(&args, "--seed", 7) as u64;
             let repeat = flag_num(&args, "--repeat", 1);
+            if repeat == 0 {
+                eprintln!("--repeat must be at least 1");
+                usage()
+            }
             let transport = if args.iter().any(|a| a == "--simulated") {
                 Transport::Simulated
             } else {
                 Transport::Native
             };
-            let cheat = flag_value(&args, "--cheat").map(|v| v.parse::<usize>().expect("index"));
+            let cheat = flag_value(&args, "--cheat").map(|v| parse_cheat(fam, "--cheat", &v));
             let inst = if args.iter().any(|a| a == "--no-instance") || cheat.is_some() {
                 no_instance(fam, n, seed)
             } else {
@@ -187,13 +204,7 @@ fn main() {
                     Some(s) => p.run_cheat(s, seed),
                     None => p.run_honest(seed),
                 };
-                // Amplification needs ownership; emulate by repeated runs.
-                let res = if repeat <= 1 {
-                    run(p)
-                } else {
-                    let wrapper = RepeatRef { inner: p, k: repeat };
-                    run(&Amplified::new(wrapper, 1))
-                };
+                let res = if repeat == 1 { run(p) } else { run(&Amplified::new(p, repeat)) };
                 println!("protocol   : {}", p.name());
                 println!("instance   : n = {}, yes = {}", p.instance_size(), p.is_yes_instance());
                 println!("rounds     : {}", res.stats.rounds);
@@ -483,14 +494,12 @@ fn main() {
                 Transport::Native
             };
             let prover_arg = flag_value(&args, "--prover").unwrap_or_else(|| "honest".into());
+            // The wire's prover byte: 0 is honest, k + 1 is cheat k.
             let prover: u8 = if prover_arg == "honest" {
                 0
             } else {
-                let idx: u8 = prover_arg.parse().unwrap_or_else(|_| {
-                    eprintln!("--prover must be 'honest' or a cheat index");
-                    usage()
-                });
-                idx + 1
+                let idx = parse_cheat(fam, "--prover", &prover_arg);
+                idx.checked_add(1).and_then(|b| u8::try_from(b).ok()).unwrap_or_else(|| usage())
             };
             let inst = if args.iter().any(|a| a == "--no-instance") || prover != 0 {
                 no_instance(fam, n, gen_seed)
@@ -818,54 +827,5 @@ fn to_wire(inst: YesInstance) -> WireInstance {
         YesInstance::Pl(i) => WireInstance::Pl(i),
         YesInstance::Spa(i) => WireInstance::Spa(i),
         YesInstance::Tw2(i) => WireInstance::Tw2(i),
-    }
-}
-
-/// A by-reference repetition shim so `--repeat` can reuse [`Amplified`]
-/// over a borrowed protocol.
-struct RepeatRef<'a> {
-    inner: &'a dyn DipProtocol,
-    k: usize,
-}
-
-impl DipProtocol for RepeatRef<'_> {
-    fn name(&self) -> String {
-        format!("{} x{}", self.inner.name(), self.k)
-    }
-    fn rounds(&self) -> usize {
-        self.inner.rounds()
-    }
-    fn instance_size(&self) -> usize {
-        self.inner.instance_size()
-    }
-    fn is_yes_instance(&self) -> bool {
-        self.inner.is_yes_instance()
-    }
-    fn run_honest(&self, seed: u64) -> planarity_dip::dip::RunResult {
-        let mut res = self.inner.run_honest(seed);
-        for i in 1..self.k {
-            let r = self.inner.run_honest(seed.wrapping_add(i as u64 * 7919));
-            res.stats.merge_parallel(&r.stats);
-            if !r.accepted() {
-                res.verdict = planarity_dip::dip::Verdict::Reject;
-                res.rejections.extend(r.rejections);
-            }
-        }
-        res
-    }
-    fn cheat_names(&self) -> Vec<String> {
-        self.inner.cheat_names()
-    }
-    fn run_cheat(&self, strategy: usize, seed: u64) -> planarity_dip::dip::RunResult {
-        let mut res = self.inner.run_cheat(strategy, seed);
-        for i in 1..self.k {
-            let r = self.inner.run_cheat(strategy, seed.wrapping_add(i as u64 * 7919));
-            res.stats.merge_parallel(&r.stats);
-            if !r.accepted() {
-                res.verdict = planarity_dip::dip::Verdict::Reject;
-                res.rejections.extend(r.rejections);
-            }
-        }
-        res
     }
 }

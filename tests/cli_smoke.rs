@@ -47,6 +47,42 @@ fn run_rejects_cheating_prover() {
     assert!(text.contains("verdict    : REJECT"), "{text}");
 }
 
+/// Runs `pdip args…`, asserts it exits through `usage()` (code 2, not a
+/// panic), and returns its stderr.
+fn usage_error(args: &[&str]) -> String {
+    let out = pdip().args(args).output().expect("run pdip");
+    let err = String::from_utf8_lossy(&out.stderr).into_owned();
+    assert_eq!(out.status.code(), Some(2), "{args:?}: {err}");
+    assert!(err.contains("usage:"), "{args:?}: {err}");
+    err
+}
+
+#[test]
+fn run_rejects_out_of_range_cheat_and_zero_repeat() {
+    let err = usage_error(&["run", "planarity", "--n", "64", "--cheat", "99"]);
+    assert!(err.contains("--cheat must be a cheat index below 3"), "{err}");
+    let err = usage_error(&["run", "planarity", "--n", "64", "--repeat", "0"]);
+    assert!(err.contains("--repeat must be at least 1"), "{err}");
+}
+
+#[test]
+fn prove_rejects_out_of_range_prover() {
+    let dir = std::env::temp_dir().join(format!("pdip_cli_prover50_{}", std::process::id()));
+    let out = dir.join("cheat.transcript");
+    let err =
+        usage_error(&["prove", "planarity", "--prover", "50", "--out", out.to_str().unwrap()]);
+    assert!(err.contains("--prover must be a cheat index below 3"), "{err}");
+    assert!(!out.exists(), "no transcript may be written");
+}
+
+#[test]
+fn prove_prover_255_does_not_wrap_to_an_honest_transcript() {
+    let dir = std::env::temp_dir().join(format!("pdip_cli_prover255_{}", std::process::id()));
+    let out = dir.join("cheat.transcript");
+    usage_error(&["prove", "planarity", "--prover", "255", "--out", out.to_str().unwrap()]);
+    assert!(!out.exists(), "prover 255 must not write a transcript");
+}
+
 #[test]
 fn sweep_writes_deterministic_outputs() {
     let dir = std::env::temp_dir().join("pdip_sweep_smoke");
