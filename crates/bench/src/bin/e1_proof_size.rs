@@ -11,6 +11,7 @@
 
 use pdip_bench::{reporter_from_args, threads_flag, FAMILIES};
 use pdip_engine::{Engine, JobCoords, ProverSpec, SeedMode, SweepSpec};
+use pdip_obs::NoopRecorder;
 use pdip_protocols::pls_baseline;
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
@@ -33,7 +34,7 @@ fn main() {
         seeds: SeedMode::Explicit(e1_seeds),
         ..SweepSpec::default()
     };
-    let outcome = Engine::with_threads(threads_flag()).run(&spec);
+    let outcome = Engine::with_threads(threads_flag()).run(&spec, &NoopRecorder);
     assert!(outcome.failures.is_empty(), "E1 jobs must not panic: {:?}", outcome.failures);
     for r in &outcome.records {
         assert!(r.accepted, "{} n={} rejected an honest run", r.family.name(), r.n);

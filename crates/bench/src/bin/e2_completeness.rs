@@ -12,6 +12,7 @@
 
 use pdip_bench::{reporter_from_args, threads_flag, FAMILIES};
 use pdip_engine::{Engine, JobCoords, ProverSpec, SeedMode, SweepSpec};
+use pdip_obs::NoopRecorder;
 
 /// The historical E2 seeds: instances from `seed * 7919 + n`, runs from
 /// the per-size seed index (here the engine trial number).
@@ -33,7 +34,7 @@ fn main() {
         seeds: SeedMode::Explicit(e2_seeds),
         ..SweepSpec::default()
     };
-    let outcome = Engine::with_threads(threads_flag()).run(&spec);
+    let outcome = Engine::with_threads(threads_flag()).run(&spec, &NoopRecorder);
     assert!(outcome.failures.is_empty(), "E2 jobs must not panic: {:?}", outcome.failures);
 
     let headers = ["protocol", "rounds", "runs", "accepted", "rate"];

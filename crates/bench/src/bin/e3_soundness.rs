@@ -14,6 +14,7 @@
 
 use pdip_bench::{reporter_from_args, threads_flag, FAMILIES};
 use pdip_engine::{Engine, JobCoords, Prover, ProverSpec, SeedMode, SweepOutcome, SweepSpec};
+use pdip_obs::NoopRecorder;
 use pdip_protocols::{PopParams, Transport};
 
 /// The historical E3 seeds: instances from `t * 31 + n`, runs from `t`.
@@ -64,7 +65,7 @@ fn main() {
         seeds: SeedMode::Explicit(e3_seeds),
         ..SweepSpec::default()
     };
-    let outcome = Engine::with_threads(threads).run(&spec);
+    let outcome = Engine::with_threads(threads).run(&spec, &NoopRecorder);
     assert!(outcome.failures.is_empty(), "E3 jobs must not panic: {:?}", outcome.failures);
     let headers = ["protocol", "cheat", "rate @ n~60", "rate @ n~300"];
     rep.table(&headers, &cheat_rate_rows(&outcome, &sizes, trials));
@@ -91,7 +92,7 @@ fn main() {
         params: weak,
         ..SweepSpec::default()
     };
-    let outcome_b = Engine::with_threads(threads).run(&spec_b);
+    let outcome_b = Engine::with_threads(threads).run(&spec_b, &NoopRecorder);
     assert!(outcome_b.failures.is_empty(), "E3b jobs must not panic: {:?}", outcome_b.failures);
     let headers = ["protocol", "cheat", "rate @ n~60", "rate @ n~300", "rate @ n~1200"];
     rep.table(&headers, &cheat_rate_rows(&outcome_b, &sizes_b, trials));
@@ -122,7 +123,7 @@ fn main() {
                 };
                 ran += 1;
                 let lr = LrSorting::new(&no, LrParams { c: 1, block_len: None }, Transport::Native);
-                if lr.run(Some(cheat), t).accepted() {
+                if lr.run(Some(cheat), t, &NoopRecorder).accepted() {
                     accepted += 1;
                 }
             }
@@ -154,7 +155,7 @@ fn main() {
         let p = PathOuterplanarity::new(&inst, params, Transport::Native);
         let mut accepted = 0u32;
         for t in 0..300u64 {
-            if p.run(Some(PopCheat::FakePath), t).accepted() {
+            if p.run(Some(PopCheat::FakePath), t, &NoopRecorder).accepted() {
                 accepted += 1;
             }
         }

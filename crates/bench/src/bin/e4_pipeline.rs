@@ -18,6 +18,7 @@
 
 use pdip_bench::{print_table, Family, YesInstance};
 use pdip_graph::gen;
+use pdip_obs::NoopRecorder;
 use pdip_protocols::{LrParams, LrSorting, PopParams, Transport};
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
@@ -31,7 +32,7 @@ fn main() {
     // The root of the chart: LR-sorting itself.
     let lr_inst = gen::lr::random_lr_yes(n, n / 2, true, &mut rng);
     let lr = LrSorting::new(&lr_inst, LrParams::default(), Transport::Native);
-    let res = lr.run(None, 1);
+    let res = lr.run(None, 1, &NoopRecorder);
     rows.push(vec![
         "LR-sorting (Lemma 4.1)".into(),
         "—".into(),

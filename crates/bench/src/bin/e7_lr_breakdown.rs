@@ -7,6 +7,7 @@
 
 use pdip_bench::print_table;
 use pdip_graph::gen;
+use pdip_obs::NoopRecorder;
 use pdip_protocols::{LrParams, LrSorting, Transport};
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
@@ -32,7 +33,7 @@ fn main() {
         let inst = gen::lr::random_lr_yes(n, n / 3, true, &mut rng);
         for transport in [Transport::Native, Transport::Simulated] {
             let lr = LrSorting::new(&inst, LrParams::default(), transport);
-            let res = lr.run(None, 9);
+            let res = lr.run(None, 9, &NoopRecorder);
             assert!(res.accepted(), "n = {n}");
             rows.push(vec![
                 n.to_string(),

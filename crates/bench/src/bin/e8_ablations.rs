@@ -12,6 +12,7 @@
 
 use pdip_bench::print_table;
 use pdip_graph::gen;
+use pdip_obs::NoopRecorder;
 use pdip_protocols::{LrCheat, LrParams, LrSorting, Transport};
 use pdip_protocols::{PathOuterplanarity, PopCheat, PopInstance, PopParams};
 use rand::rngs::SmallRng;
@@ -28,7 +29,7 @@ fn main() {
     let mut rows = Vec::new();
     for req in [2usize, 4, 8, 12, 24, 64, 256] {
         let lr = LrSorting::new(&inst, LrParams { c: 3, block_len: Some(req) }, Transport::Native);
-        let res = lr.run(None, 1);
+        let res = lr.run(None, 1, &NoopRecorder);
         rows.push(vec![
             req.to_string(),
             lr.block_len.to_string(),
@@ -55,12 +56,12 @@ fn main() {
             let mut rng = SmallRng::seed_from_u64(1000 + t as u64);
             let Some(no) = gen::lr::random_lr_no(256, 100, true, 1, &mut rng) else { continue };
             let lr = LrSorting::new(&no, LrParams { c, block_len: None }, Transport::Native);
-            if lr.run(Some(LrCheat::OuterForgedIndex), t as u64).accepted() {
+            if lr.run(Some(LrCheat::OuterForgedIndex), t as u64, &NoopRecorder).accepted() {
                 accepted += 1;
             }
             let yes = gen::lr::random_lr_yes(256, 100, true, &mut rng);
             let lr_yes = LrSorting::new(&yes, LrParams { c, block_len: None }, Transport::Native);
-            size = lr_yes.run(None, t as u64).stats.proof_size();
+            size = lr_yes.run(None, t as u64, &NoopRecorder).stats.proof_size();
         }
         rows.push(vec![c.to_string(), size.to_string(), format!("{accepted}/{trials}")]);
     }
@@ -90,7 +91,7 @@ fn main() {
         let params = PopParams { c: 2, st_repetitions: rep };
         let p = PathOuterplanarity::new(&inst, params, Transport::Native);
         for t in 0..trials {
-            let res = p.run(Some(PopCheat::FakePath), 2000 + t as u64);
+            let res = p.run(Some(PopCheat::FakePath), 2000 + t as u64, &NoopRecorder);
             if res.accepted() {
                 accepted += 1;
             }

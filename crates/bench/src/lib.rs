@@ -11,7 +11,7 @@
 //! [`pdip_engine`] (so the batch-verification engine can expand sweep
 //! grids without depending on this harness); this crate re-exports them
 //! under their historical paths, and E1–E3 now execute their grids on the
-//! engine's worker pool.
+//! engine, whose jobs run on `pdip_core::par`.
 
 pub mod graphbench;
 pub mod hotpath;

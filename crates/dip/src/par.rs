@@ -1,8 +1,10 @@
-//! Intra-job parallelism: deterministic chunked work-splitting.
+//! Deterministic chunked work-splitting: the repository's one batch
+//! worker loop.
 //!
-//! The sweep engine parallelizes *across* jobs; this module parallelizes
-//! *within* one job — the per-node work of a single round (label decode,
-//! per-node commitment checks) — without changing a single output byte.
+//! Rounds use it *within* one job — the per-node work of a single round
+//! (label decode, per-node commitment checks) — and the sweep engine runs
+//! *across* jobs on it (one job per chunk of [`map_chunks_with`], one
+//! scratch arena per worker), without changing a single output byte.
 //! Three rules make that safe:
 //!
 //! * **Worker-count-independent chunking.** The index range `0..len` is
@@ -14,18 +16,19 @@
 //!   output of [`map_chunks`] is identical to running the chunks in a
 //!   serial `for` loop. Anything order-sensitive downstream (rejection
 //!   order, captured transcripts, `RunRecord`s) sees the serial order.
-//! * **No nested pools.** The sweep engine's worker threads install a
-//!   [`SerialGuard`]; any intra-job split reached from inside a pool
-//!   worker runs serially on that worker. One machine, one level of
+//! * **No nested pools.** [`map_chunks_with`] installs a [`SerialGuard`]
+//!   on every worker it spawns and on the calling thread of its serial
+//!   path; any split reached from inside a chunk (a round inside a sweep
+//!   job) runs serially on that thread. One machine, one level of
 //!   parallelism, no oversubscription.
 //!
 //! The knob is process-global ([`set_intra_workers`]; the default is
 //! *auto* — `available_parallelism()` capped at [`MAX_AUTO_WORKERS`]) so
-//! single runs (CLI round benchmarks, one-shot verifications, the E11
-//! scaling driver) engage the parallel path out of the box on multi-core
-//! machines. Sweeps keep their across-job parallelism: the engine's pool
-//! workers hold a [`SerialGuard`], so the auto default never nests a
-//! second thread layer. With one effective worker every entry point
+//! single runs (CLI round benchmarks, one-shot verifications) engage the
+//! parallel path out of the box on multi-core machines. Sweeps keep their
+//! across-job parallelism: the engine's jobs run inside the guarded
+//! chunk loop, so the auto default never nests a second thread layer.
+//! With one effective worker every entry point
 //! degenerates to the plain serial loop — same code path a round compiled
 //! to before this module existed, and small inputs (`len <= grain`) stay
 //! serial at any setting.
@@ -86,8 +89,8 @@ fn effective_workers() -> usize {
 }
 
 /// RAII guard forcing all intra-job splits on this thread to run
-/// serially. The sweep engine's pool workers hold one for their whole
-/// life, so a parallel sweep never nests a second thread layer.
+/// serially. [`map_chunks_with`] holds one on every thread that runs
+/// chunks, so a parallel sweep never nests a second thread layer.
 #[derive(Debug)]
 pub struct SerialGuard(());
 
@@ -127,25 +130,43 @@ where
     T: Send,
     F: Fn(Range<usize>) -> T + Sync,
 {
-    map_chunks_with(effective_workers(), len, grain, f)
+    map_chunks_with(effective_workers(), len, grain, || (), |(), r| f(r))
 }
 
 /// [`map_chunks`] with an explicit worker count, bypassing the
 /// process-global knob (but not the grid: chunk boundaries still depend
-/// only on `len` and `grain`). For callers that must compare worker
-/// counts side by side — the E11 scaling driver's 1-vs-K byte-identity
-/// probe, thread-invariance tests — without racing other threads on
-/// [`set_intra_workers`].
-pub fn map_chunks_with<T, F>(workers: usize, len: usize, grain: usize, f: F) -> Vec<T>
+/// only on `len` and `grain`), and with per-worker state: each worker
+/// builds one `S` with `init` and threads it through every chunk it
+/// claims. For callers that must compare worker counts side by side —
+/// the E11 scaling driver's 1-vs-K byte-identity probe,
+/// thread-invariance tests — without racing other threads on
+/// [`set_intra_workers`], and for the sweep engine, whose workers keep
+/// one scratch arena for their whole drain of the job list.
+///
+/// `f`'s result must not depend on what earlier chunks left in the
+/// state (a cache of pure values is fine), since which worker claims
+/// which chunk varies with timing. The calling thread (serial path) or
+/// every spawned worker holds a [`SerialGuard`] while chunks run, so a
+/// split inside a chunk never nests a second thread layer.
+pub fn map_chunks_with<S, T, I, F>(
+    workers: usize,
+    len: usize,
+    grain: usize,
+    init: I,
+    f: F,
+) -> Vec<T>
 where
     T: Send,
-    F: Fn(Range<usize>) -> T + Sync,
+    I: Fn() -> S + Sync,
+    F: Fn(&mut S, Range<usize>) -> T + Sync,
 {
     let grain = grain.max(1);
     let nchunks = len.div_ceil(grain);
     let workers = workers.max(1).min(nchunks.max(1));
     if workers <= 1 || nchunks <= 1 {
-        return chunk_ranges(len, grain).map(f).collect();
+        let _serial = SerialGuard::install();
+        let mut state = init();
+        return chunk_ranges(len, grain).map(|r| f(&mut state, r)).collect();
     }
     // Workers race on an atomic cursor for load balance; each returns its
     // claimed (chunk index, result) pairs and the merge re-sorts by chunk
@@ -159,13 +180,14 @@ where
                 scope.spawn(|| {
                     // Intra-job workers never split further.
                     let _serial = SerialGuard::install();
+                    let mut state = init();
                     let mut got: Vec<(usize, T)> = Vec::new();
                     loop {
                         let c = cursor.fetch_add(1, Ordering::Relaxed);
                         if c >= nchunks {
                             break;
                         }
-                        got.push((c, f(c * grain..((c + 1) * grain).min(len))));
+                        got.push((c, f(&mut state, c * grain..((c + 1) * grain).min(len))));
                     }
                     got
                 })
@@ -206,7 +228,8 @@ where
     if workers <= 1 || len <= grain.max(1) {
         return (0..len).map(f).collect();
     }
-    let per_chunk = map_chunks_with(workers, len, grain, |r| r.map(&f).collect::<Vec<T>>());
+    let per_chunk =
+        map_chunks_with(workers, len, grain, || (), |(), r| r.map(&f).collect::<Vec<T>>());
     let mut out = Vec::with_capacity(len);
     for chunk in per_chunk {
         out.extend(chunk);
@@ -277,7 +300,7 @@ mod tests {
         let grid: Vec<Range<usize>> = chunk_ranges(1203, 31).collect();
         for k in [1, 2, 4, 8, 64] {
             assert_eq!(map_indexed_with(k, 1203, 31, f), serial, "workers={k}");
-            assert_eq!(map_chunks_with(k, 1203, 31, |r| r), grid, "workers={k}");
+            assert_eq!(map_chunks_with(k, 1203, 31, || (), |(), r| r), grid, "workers={k}");
         }
     }
 

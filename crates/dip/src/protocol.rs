@@ -7,7 +7,7 @@
 //! parameters).
 
 use crate::outcome::RunResult;
-use pdip_obs::Recorder;
+use pdip_obs::{NoopRecorder, Recorder};
 
 /// A DIP bound to a concrete instance.
 pub trait DipProtocol {
@@ -24,29 +24,28 @@ pub trait DipProtocol {
     /// Ground truth: is the bound instance a yes-instance?
     fn is_yes_instance(&self) -> bool;
 
-    /// One run with the honest prover (defined only for yes-instances;
-    /// implementations may panic or reject on no-instances).
-    fn run_honest(&self, seed: u64) -> RunResult;
-
     /// The named cheating-prover strategies this protocol implements.
     fn cheat_names(&self) -> Vec<String>;
 
-    /// One run against cheating strategy `strategy` (an index into
-    /// [`DipProtocol::cheat_names`]).
-    fn run_cheat(&self, strategy: usize, seed: u64) -> RunResult;
+    /// One run with the honest prover (defined only for yes-instances;
+    /// implementations may panic or reject on no-instances), with round
+    /// spans and bit counters emitted to `rec`. `rec` is observe-only:
+    /// the RNG call order and the [`RunResult`] do not depend on it.
+    fn run_honest_traced(&self, seed: u64, rec: &dyn Recorder) -> RunResult;
 
-    /// [`DipProtocol::run_honest`] with instrumentation: the same run
-    /// (identical RNG call order and [`RunResult`]) with round spans
-    /// and bit counters emitted to `rec`. The default ignores `rec`,
-    /// so protocols without instrumentation stay correct.
-    fn run_honest_traced(&self, seed: u64, _rec: &dyn Recorder) -> RunResult {
-        self.run_honest(seed)
+    /// One run against cheating strategy `strategy` (an index into
+    /// [`DipProtocol::cheat_names`]), instrumented like
+    /// [`DipProtocol::run_honest_traced`].
+    fn run_cheat_traced(&self, strategy: usize, seed: u64, rec: &dyn Recorder) -> RunResult;
+
+    /// [`DipProtocol::run_honest_traced`] without instrumentation.
+    fn run_honest(&self, seed: u64) -> RunResult {
+        self.run_honest_traced(seed, &NoopRecorder)
     }
 
-    /// [`DipProtocol::run_cheat`] with instrumentation; see
-    /// [`DipProtocol::run_honest_traced`].
-    fn run_cheat_traced(&self, strategy: usize, seed: u64, _rec: &dyn Recorder) -> RunResult {
-        self.run_cheat(strategy, seed)
+    /// [`DipProtocol::run_cheat_traced`] without instrumentation.
+    fn run_cheat(&self, strategy: usize, seed: u64) -> RunResult {
+        self.run_cheat_traced(strategy, seed, &NoopRecorder)
     }
 }
 
@@ -65,14 +64,8 @@ impl<P: DipProtocol + ?Sized> DipProtocol for &P {
     fn is_yes_instance(&self) -> bool {
         (**self).is_yes_instance()
     }
-    fn run_honest(&self, seed: u64) -> RunResult {
-        (**self).run_honest(seed)
-    }
     fn cheat_names(&self) -> Vec<String> {
         (**self).cheat_names()
-    }
-    fn run_cheat(&self, strategy: usize, seed: u64) -> RunResult {
-        (**self).run_cheat(strategy, seed)
     }
     fn run_honest_traced(&self, seed: u64, rec: &dyn Recorder) -> RunResult {
         (**self).run_honest_traced(seed, rec)

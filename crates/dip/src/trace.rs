@@ -12,6 +12,7 @@
 //! Everything emitted here is derived from [`SizeStats`] — protocol
 //! structure, never time — so traced event streams stay deterministic.
 
+use crate::outcome::RunResult;
 use crate::transcript::SizeStats;
 use pdip_obs::{counter, Recorder, SpanId};
 
@@ -34,6 +35,16 @@ pub fn trace_stats(rec: &dyn Recorder, proto: &'static str, stats: &SizeStats) {
     counter(rec, 0, run, "proof_size_bits", stats.proof_size() as u64);
     counter(rec, 0, run, "coin_bits", stats.coin_bits as u64);
     counter(rec, 0, run, "rounds", stats.rounds as u64);
+}
+
+impl RunResult {
+    /// Emits this finished run's bit counters ([`trace_stats`]) under
+    /// `proto` and returns the run unchanged — the last step of every
+    /// instrumented protocol run, at each of its exits.
+    pub fn traced(self, rec: &dyn Recorder, proto: &'static str) -> RunResult {
+        trace_stats(rec, proto, &self.stats);
+        self
+    }
 }
 
 #[cfg(test)]

@@ -2,14 +2,15 @@
 //!
 //! Every paper-claim table in this repository is a sweep: protocol runs
 //! over families × instance sizes × prover behaviours × trials. This
-//! crate executes such sweeps on a fixed worker pool (std threads +
-//! channels; no external dependencies) with three guarantees:
+//! crate executes such sweeps on [`pdip_core::par`]'s chunked worker loop
+//! (one job per chunk; std threads, no external dependencies) with three
+//! guarantees:
 //!
 //! 1. **Determinism.** Per-job seeds derive from `(base_seed, job index)`
 //!    through a SplitMix64 stream ([`seed`]), never from scheduling, and
-//!    results are re-sorted into grid order — so a sweep at 16 workers
-//!    produces byte-identical records and aggregate tables to the same
-//!    sweep at 1 worker.
+//!    results come back in chunk order, which is grid order — so a sweep
+//!    at 16 workers produces byte-identical records and aggregate tables
+//!    to the same sweep at 1 worker.
 //! 2. **Panic isolation.** Each job runs behind `catch_unwind` with a
 //!    bounded retry budget; a panicking protocol run is quarantined as a
 //!    [`JobFailure`] carrying its payload, and the sweep continues.
@@ -24,6 +25,7 @@
 //!
 //! ```
 //! use pdip_engine::{Engine, Family, ProverSpec, SweepSpec};
+//! use pdip_obs::NoopRecorder;
 //!
 //! let spec = SweepSpec {
 //!     families: vec![Family::PathOuterplanar],
@@ -33,7 +35,7 @@
 //!     base_seed: 7,
 //!     ..SweepSpec::default()
 //! };
-//! let outcome = Engine::with_threads(4).run(&spec);
+//! let outcome = Engine::with_threads(4).run(&spec, &NoopRecorder);
 //! assert!(outcome.failures.is_empty());
 //! assert_eq!(outcome.records.len() as u64, spec.job_count());
 //! ```
@@ -66,7 +68,7 @@ pub use family::{no_instance, no_instance_with, Family, YesInstance, FAMILIES};
 pub use obs_audit::{
     metrics_determinism_probe, run_obs_audit, MetricsProbe, ObsAuditReport, ObsAuditSpec, E14_SEED,
 };
-pub use pool::{execute_job, execute_job_traced, execute_job_with, Engine, WorkerScratch};
+pub use pool::{execute_job, Engine, WorkerScratch};
 pub use record::{
     CellAgg, CellKey, FailureKind, JobFailure, RunRecord, SweepMetrics, SweepOutcome,
 };

@@ -1,22 +1,24 @@
-//! The fixed worker pool: std threads + channels, deterministic results,
-//! panic isolation with retry-then-quarantine.
+//! The sweep executor: jobs run on [`pdip_core::par`]'s chunked worker
+//! loop, deterministic results, panic isolation with
+//! retry-then-quarantine.
 //!
-//! Workers pull jobs from a shared atomic cursor and send outcomes to a
-//! collector thread; after the pool drains, records are sorted back into
-//! grid order. Because per-job seeds are derived from `(base_seed, index)`
-//! alone (see [`crate::seed`]), the sorted records — and everything folded
-//! from them — are byte-identical for any worker count.
+//! Each job is one chunk of the `par` grid; workers claim chunks from
+//! an atomic cursor and the results come back in chunk order, which is
+//! grid order. Because per-job seeds are derived from
+//! `(base_seed, index)` alone (see [`crate::seed`]), the records — and
+//! everything folded from them — are byte-identical for any worker
+//! count.
 
 use crate::family::{no_instance_with, Family, YesInstance};
 use crate::record::{FailureKind, JobFailure, RunRecord, SweepMetrics, SweepOutcome};
 use crate::seed::{labels, sub_seed};
 use crate::spec::{JobSpec, Prover, SweepSpec};
+use pdip_core::par::map_chunks_with;
 use pdip_graph::TraversalScratch;
-use pdip_obs::{counter, span, BufferedRecorder, NoopRecorder, Recorder, ScopedRecorder, SpanId};
+use pdip_obs::{counter, span, BufferedRecorder, Recorder, SpanId};
 use std::collections::HashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{mpsc, Mutex};
+use std::sync::Mutex;
 use std::thread;
 use std::time::Instant;
 
@@ -94,121 +96,53 @@ impl WorkerScratch {
 pub struct Engine {
     /// Worker threads (1 = serial; results are identical either way).
     pub threads: usize,
-    /// Suppress the default panic hook's stderr spew while jobs run
-    /// (quarantined panics are reported as [`JobFailure`]s instead).
-    pub quiet_panics: bool,
 }
 
 impl Default for Engine {
     fn default() -> Self {
-        Engine {
-            threads: thread::available_parallelism().map(|n| n.get()).unwrap_or(1),
-            quiet_panics: true,
-        }
+        Engine { threads: thread::available_parallelism().map(|n| n.get()).unwrap_or(1) }
     }
 }
 
 impl Engine {
     /// An engine with `threads` workers.
     pub fn with_threads(threads: usize) -> Self {
-        Engine { threads, ..Engine::default() }
+        Engine { threads }
     }
 
     /// Expands `spec` and executes every job, returning records and
     /// quarantined failures in grid order.
-    pub fn run(&self, spec: &SweepSpec) -> SweepOutcome {
-        let jobs = spec.expand();
-        self.run_jobs(spec, &jobs)
-    }
-
-    /// [`Engine::run`] with an instrumentation [`Recorder`]: per-job
-    /// execute spans (job index as the event context), queue-wait and
-    /// execute duration histograms, retry/timeout counters, and every
-    /// protocol-level span the instrumented protocols emit.
     ///
-    /// The recorder rides as a parameter (not an engine field) so the
-    /// engine stays `Clone`; each worker buffers through one
-    /// [`BufferedRecorder`] shard, keeping a collecting parent's drain
-    /// deterministic across worker counts. With a disabled recorder
-    /// this is exactly [`Engine::run`].
-    pub fn run_traced(&self, spec: &SweepSpec, rec: &dyn Recorder) -> SweepOutcome {
+    /// `rec` receives per-job execute spans (job index as the event
+    /// context), the queue-wait histogram, retry/timeout counters, and
+    /// every protocol-level span the instrumented protocols emit; pass
+    /// [`pdip_obs::NoopRecorder`] for none. The recorder rides as a
+    /// parameter (not an engine field) so the engine stays `Clone`.
+    /// Every worker keeps one [`WorkerScratch`] for the whole run, and
+    /// the default panic hook is silenced while jobs run (quarantined
+    /// panics are reported as [`JobFailure`]s instead).
+    pub fn run(&self, spec: &SweepSpec, rec: &dyn Recorder) -> SweepOutcome {
         let jobs = spec.expand();
-        self.run_jobs_traced(spec, &jobs, rec)
-    }
-
-    /// Executes an explicit job list (already expanded from `spec`).
-    pub fn run_jobs(&self, spec: &SweepSpec, jobs: &[JobSpec]) -> SweepOutcome {
-        self.run_jobs_traced(spec, jobs, &NoopRecorder)
-    }
-
-    /// [`Engine::run_jobs`] with an instrumentation [`Recorder`]
-    /// (see [`Engine::run_traced`]).
-    pub fn run_jobs_traced(
-        &self,
-        spec: &SweepSpec,
-        jobs: &[JobSpec],
-        rec: &dyn Recorder,
-    ) -> SweepOutcome {
         let threads = self.threads.max(1);
-        let _silencer = self.quiet_panics.then(PanicSilencer::engage);
+        let _silencer = PanicSilencer::engage();
         let start = Instant::now();
-        let cursor = AtomicUsize::new(0);
-        let (tx, rx) = mpsc::channel::<Result<RunRecord, JobFailure>>();
-
-        let (mut records, mut failures) = thread::scope(|s| {
-            // Collector: drains the channel while workers run, so job
-            // outputs never pile up in channel buffers of blocked senders.
-            let collector = s.spawn(move || {
-                let mut records = Vec::new();
-                let mut failures = Vec::new();
-                for out in rx {
-                    match out {
-                        Ok(r) => records.push(r),
-                        Err(f) => failures.push(f),
-                    }
-                }
-                (records, failures)
-            });
-            for _ in 0..threads {
-                let tx = tx.clone();
-                let cursor = &cursor;
-                s.spawn(move || {
-                    // Sweeps parallelize across jobs; intra-job chunk
-                    // splitting (pdip_core::par) inside a pool worker
-                    // would nest a second thread layer, so pin this
-                    // worker serial for its whole life.
-                    let _serial = pdip_core::par::SerialGuard::install();
-                    // One scratch arena per worker, reused across every
-                    // job this worker drains from the queue, and one
-                    // contiguous event shard (flushed on drop).
-                    let mut scratch = WorkerScratch::new();
-                    let worker_rec = BufferedRecorder::new(rec);
-                    loop {
-                        let i = cursor.fetch_add(1, Ordering::Relaxed);
-                        let Some(job) = jobs.get(i) else { break };
-                        if worker_rec.enabled() {
-                            // Time from pool start to job pickup: the
-                            // job's queue wait (histogram only — wall
-                            // data never enters the event stream).
-                            let nanos = start.elapsed().as_nanos();
-                            worker_rec.duration(
-                                "engine/queue-wait",
-                                u64::try_from(nanos).unwrap_or(u64::MAX),
-                            );
-                        }
-                        let out = execute_job_traced(spec, job, &mut scratch, &worker_rec);
-                        if tx.send(out).is_err() {
-                            break;
-                        }
-                    }
-                });
+        let outs = map_chunks_with(threads, jobs.len(), 1, WorkerScratch::new, |scratch, r| {
+            if rec.enabled() {
+                // Time from sweep start to job pickup: the job's queue
+                // wait (histogram only — wall data never enters the
+                // event stream).
+                let nanos = start.elapsed().as_nanos();
+                rec.duration("engine/queue-wait", u64::try_from(nanos).unwrap_or(u64::MAX));
             }
-            drop(tx);
-            collector.join().expect("collector thread panicked")
+            execute_job(spec, &jobs[r.start], scratch, rec)
         });
-
-        records.sort_by_key(|r| r.index);
-        failures.sort_by_key(|f| f.index);
+        let (mut records, mut failures) = (Vec::new(), Vec::new());
+        for out in outs {
+            match out {
+                Ok(r) => records.push(r),
+                Err(f) => failures.push(f),
+            }
+        }
         let quarantined =
             failures.iter().filter(|f| f.kind == FailureKind::Panicked).count() as u64;
         let timed_out = failures.iter().filter(|f| f.kind == FailureKind::TimedOut).count() as u64;
@@ -230,14 +164,6 @@ impl Engine {
     }
 }
 
-/// Runs one job behind panic isolation with a cold scratch arena.
-///
-/// Equivalent to [`execute_job_with`] on a fresh [`WorkerScratch`]; the
-/// worker pool threads a persistent per-worker arena instead.
-pub fn execute_job(spec: &SweepSpec, job: &JobSpec) -> Result<RunRecord, JobFailure> {
-    execute_job_with(spec, job, &mut WorkerScratch::new())
-}
-
 /// Runs one job behind panic isolation with the spec's retry budget,
 /// reusing `scratch` for instance generation.
 ///
@@ -252,28 +178,20 @@ pub fn execute_job(spec: &SweepSpec, job: &JobSpec) -> Result<RunRecord, JobFail
 /// [`FailureKind::TimedOut`] instead of entering the record stream; a
 /// timeout is terminal (never retried), because re-running a structurally
 /// slow job only stalls the pool again.
-pub fn execute_job_with(
-    spec: &SweepSpec,
-    job: &JobSpec,
-    scratch: &mut WorkerScratch,
-) -> Result<RunRecord, JobFailure> {
-    execute_job_traced(spec, job, scratch, &NoopRecorder)
-}
-
-/// [`execute_job_with`] with an instrumentation [`Recorder`]: the run
-/// executes under an `engine/job` span whose event context is the job's
-/// grid index, with `retry` / `timed_out` counters and the protocol's
-/// own spans nested inside. With a disabled recorder this is exactly
-/// [`execute_job_with`] — same seeds, same records.
-pub fn execute_job_traced(
+///
+/// The run executes under an `engine/job` span, with `retry` /
+/// `timed_out` counters and the protocol's own spans nested inside, all
+/// recorded through one per-job [`BufferedRecorder`] whose event context
+/// is the job's grid index: the job's events reach `rec` as one
+/// contiguous shard, so a drained trace groups per job no matter which
+/// worker ran it. `rec` is observe-only — same seeds, same records.
+pub fn execute_job(
     spec: &SweepSpec,
     job: &JobSpec,
     scratch: &mut WorkerScratch,
     rec: &dyn Recorder,
 ) -> Result<RunRecord, JobFailure> {
-    // Every event below carries the job's grid index as its context, so
-    // the drained trace groups per job no matter which worker ran it.
-    let job_rec = ScopedRecorder::new(rec, job.coords.index);
+    let job_rec = BufferedRecorder::new(rec, job.coords.index);
     let job_id = SpanId::new("engine/job");
     let mut attempt = 0u32;
     loop {
@@ -423,6 +341,7 @@ mod tests {
     use super::*;
     use crate::family::Family;
     use crate::spec::ProverSpec;
+    use pdip_obs::NoopRecorder;
 
     fn tiny_spec() -> SweepSpec {
         SweepSpec {
@@ -437,7 +356,7 @@ mod tests {
 
     #[test]
     fn honest_jobs_complete_and_accept() {
-        let outcome = Engine::with_threads(2).run(&tiny_spec());
+        let outcome = Engine::with_threads(2).run(&tiny_spec(), &NoopRecorder);
         assert_eq!(outcome.records.len(), 4);
         assert!(outcome.failures.is_empty());
         assert!(outcome.records.iter().all(|r| r.accepted));
@@ -453,7 +372,7 @@ mod tests {
             max_retries: 1,
             ..tiny_spec()
         };
-        let outcome = Engine::with_threads(3).run(&spec);
+        let outcome = Engine::with_threads(3).run(&spec, &NoopRecorder);
         // Honest jobs complete; every injected panic is quarantined.
         assert_eq!(outcome.records.len(), 2);
         assert_eq!(outcome.failures.len(), 2);
@@ -476,7 +395,7 @@ mod tests {
         // A zero-length deadline times out every job: the watchdog
         // classifies completed runs post-hoc, so detection is exact.
         let spec = SweepSpec { job_deadline: Some(Duration::ZERO), ..tiny_spec() };
-        let outcome = Engine::with_threads(2).run(&spec);
+        let outcome = Engine::with_threads(2).run(&spec, &NoopRecorder);
         assert!(outcome.records.is_empty());
         assert_eq!(outcome.failures.len(), 4);
         for f in &outcome.failures {
@@ -494,13 +413,13 @@ mod tests {
     fn generous_deadline_changes_nothing() {
         use std::time::Duration;
         let lax = SweepSpec { job_deadline: Some(Duration::from_secs(3600)), ..tiny_spec() };
-        let outcome = Engine::with_threads(2).run(&lax);
+        let outcome = Engine::with_threads(2).run(&lax, &NoopRecorder);
         assert_eq!(outcome.records.len(), 4);
         assert!(outcome.failures.is_empty());
         assert_eq!(outcome.metrics.timed_out, 0);
         // Records under a generous deadline match the no-deadline run
         // bit-for-bit on the deterministic surface.
-        let plain = Engine::with_threads(2).run(&tiny_spec());
+        let plain = Engine::with_threads(2).run(&tiny_spec(), &NoopRecorder);
         let key = |r: &RunRecord| (r.index, r.accepted, r.proof_size_bits, r.run_seed);
         assert_eq!(
             outcome.records.iter().map(key).collect::<Vec<_>>(),
@@ -511,7 +430,7 @@ mod tests {
     #[test]
     fn records_come_back_in_grid_order() {
         let spec = SweepSpec { trials: 12, ..tiny_spec() };
-        let outcome = Engine::with_threads(4).run(&spec);
+        let outcome = Engine::with_threads(4).run(&spec, &NoopRecorder);
         let indices: Vec<u64> = outcome.records.iter().map(|r| r.index).collect();
         assert_eq!(indices, (0..12).collect::<Vec<_>>());
     }
@@ -547,10 +466,14 @@ mod tests {
         let mut scratch = WorkerScratch::new();
         let warm: Vec<String> = jobs
             .iter()
-            .map(|j| timeless(&execute_job_with(&spec, j, &mut scratch).unwrap()))
+            .map(|j| timeless(&execute_job(&spec, j, &mut scratch, &NoopRecorder).unwrap()))
             .collect();
-        let cold: Vec<String> =
-            jobs.iter().map(|j| timeless(&execute_job(&spec, j).unwrap())).collect();
+        let cold: Vec<String> = jobs
+            .iter()
+            .map(|j| {
+                timeless(&execute_job(&spec, j, &mut WorkerScratch::new(), &NoopRecorder).unwrap())
+            })
+            .collect();
         assert_eq!(warm, cold, "scratch reuse must not change any record");
         assert!(scratch.hits() > 0, "shared gen seeds must hit the cache");
         assert!(scratch.misses() > 0);

@@ -41,6 +41,7 @@ use crate::trace::{envelope_bits, envelope_slope};
 use pdip_core::par::map_chunks_with;
 use pdip_core::RunResult;
 use pdip_graph::{Shard, StreamMode, StreamSkeleton, StreamSpec};
+use pdip_obs::NoopRecorder;
 use pdip_protocols::lr_sorting::Transport;
 use pdip_protocols::path_outerplanar::PopParams;
 use pdip_protocols::planarity::{PlInstance, Planarity};
@@ -239,18 +240,24 @@ pub fn digest_result(res: &RunResult) -> u64 {
 /// fold in chunk order.
 pub fn verify_stream(skel: &StreamSkeleton, workers: usize, run_base: u64) -> RunResult {
     let k = skel.shard_count();
-    let partials = map_chunks_with(workers, k, 1, |range| {
-        let mut part = ShardCombiner::new();
-        for i in range {
-            let shard = skel.shard(i);
-            let inst =
-                PlInstance { graph: shard.graph, witness_rho: shard.rho, is_yes: shard.planar };
-            let res = Planarity::new(&inst, PopParams::default(), Transport::Native)
-                .run(None, job_seed(run_base, i as u64));
-            part.absorb_block(|v| skel.to_global(i, v), res);
-        }
-        part
-    });
+    let partials = map_chunks_with(
+        workers,
+        k,
+        1,
+        || (),
+        |(), range| {
+            let mut part = ShardCombiner::new();
+            for i in range {
+                let shard = skel.shard(i);
+                let inst =
+                    PlInstance { graph: shard.graph, witness_rho: shard.rho, is_yes: shard.planar };
+                let p = Planarity::new(&inst, PopParams::default(), Transport::Native);
+                let res = p.run(None, job_seed(run_base, i as u64), &NoopRecorder);
+                part.absorb_block(|v| skel.to_global(i, v), res);
+            }
+            part
+        },
+    );
     let mut combined = ShardCombiner::new();
     for p in partials {
         combined.absorb_partial(p);
@@ -302,8 +309,8 @@ pub fn run_scale(spec: &ScaleSpec) -> ScaleReport {
                 .all(|i| shards_equal(&skel.extract_shard(&inst, i), &skel.shard(i)));
             let mono_inst =
                 PlInstance { graph: inst.graph, witness_rho: inst.rho, is_yes: inst.planar };
-            let mono = Planarity::new(&mono_inst, PopParams::default(), Transport::Native)
-                .run(None, sub_seed(row_seed, 0x40));
+            let mono = Planarity::new(&mono_inst, PopParams::default(), Transport::Native);
+            let mono = mono.run(None, sub_seed(row_seed, 0x40), &NoopRecorder);
             let monolithic_agrees = mono.accepted() == res.accepted();
             let plan = ShardPlan::decompose(&mono_inst);
             let base =

@@ -59,7 +59,7 @@ use super::{
 };
 use crate::pool::PanicSilencer;
 use crate::report::Reporter;
-use pdip_obs::{counter, NoopRecorder, Recorder, ScopedRecorder, SpanId, TeeRecorder};
+use pdip_obs::{counter, Recorder, SpanId};
 use std::io::{Read, Write};
 use std::net::{Shutdown, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -162,10 +162,10 @@ impl Conn {
     /// `serve/write` latency histogram. A failed write marks the
     /// connection dead and counts one `io_error`; it never affects any
     /// other connection or request.
-    fn send(&self, r: Response, counters: &Counters, rec: &dyn Recorder) {
+    fn send(&self, r: Response, counters: &Counters, obs: &ServeObs) {
         let Ok(mut guard) = self.sink.lock() else { return };
         let Some(sink) = guard.as_mut() else { return };
-        let started = rec.enabled().then(Instant::now);
+        let started = Instant::now();
         let ok = match sink {
             Sink::Tcp(stream) => {
                 write_frame(stream, &encode_response(&r)).and_then(|()| stream.flush())
@@ -175,12 +175,11 @@ impl Conn {
                 Ok(())
             }
         };
-        if let Some(t0) = started {
-            rec.duration("serve/write", u64::try_from(t0.elapsed().as_nanos()).unwrap_or(u64::MAX));
-        }
+        let nanos = u64::try_from(started.elapsed().as_nanos()).unwrap_or(u64::MAX);
+        obs.duration("serve/write", nanos);
         if ok.is_err() {
             counters.io_errors.fetch_add(1, Ordering::Relaxed);
-            counter(rec, self.id, SpanId::new("serve/io-error"), "io-error", 1);
+            counter(obs, self.id, SpanId::new("serve/io-error"), "io-error", 1);
             *guard = None;
         }
     }
@@ -219,8 +218,7 @@ struct ConnJob {
 /// share.
 struct Pool<'a> {
     cfg: &'a ServeConfig,
-    /// The caller's recorder teed with `obs`.
-    rec: &'a dyn Recorder,
+    /// The live-metrics bridge every instrumentation point records into.
     obs: &'a ServeObs,
     shutdown: &'a ShutdownFlag,
     counters: Counters,
@@ -237,20 +235,16 @@ struct Pool<'a> {
 /// stats.
 fn run_pool<T>(
     cfg: &ServeConfig,
-    rec: &dyn Recorder,
     shutdown: &ShutdownFlag,
     front: impl FnOnce(&Pool<'_>, SyncSender<ConnJob>) -> T,
 ) -> (T, ServeStats) {
     let _silencer = PanicSilencer::engage();
     // Live metrics are always on: use the caller's shared bridge or a
-    // private one, and tee it next to the caller's trace recorder so
-    // both observe the same instrumentation stream.
+    // private one.
     let obs = cfg.obs.clone().unwrap_or_default();
-    let tee = TeeRecorder::new(rec, obs.as_ref());
     let (jobs_tx, jobs_rx) = sync_channel::<ConnJob>(cfg.queue_cap.max(1));
     let pool = Pool {
         cfg,
-        rec: &tee,
         obs: &obs,
         shutdown,
         counters: Counters::default(),
@@ -280,24 +274,16 @@ impl Pool<'_> {
             };
             let Ok(job) = job else { break };
             counters.queue_depth.fetch_sub(1, Ordering::SeqCst);
-            let job_rec = ScopedRecorder::new(self.rec, job.seq);
-            if job_rec.enabled() {
-                let waited = job.enqueued.elapsed().as_nanos();
-                job_rec.duration("serve/queue-wait", u64::try_from(waited).unwrap_or(u64::MAX));
-            }
-            let (status, detail) = verify_guarded(
-                &job.blob,
-                cfg.panic_token,
-                cfg.deadline,
-                &job_rec,
-                &counters.panics,
-            );
-            counter(&job_rec, job.seq, SpanId::new("serve/request"), status.name(), 1);
+            let waited = job.enqueued.elapsed().as_nanos();
+            obs.duration("serve/queue-wait", u64::try_from(waited).unwrap_or(u64::MAX));
+            let (status, detail) =
+                verify_guarded(&job.blob, cfg.panic_token, cfg.deadline, obs, &counters.panics);
+            counter(obs, job.seq, SpanId::new("serve/request"), status.name(), 1);
             counters.bump(status);
             if status == Status::Malformed && detail.starts_with("panic: ") {
                 obs.note_panic(job.conn.id, job.seq, detail.clone());
             }
-            job.conn.send(Response { seq: job.seq, status, detail }, counters, &job_rec);
+            job.conn.send(Response { seq: job.seq, status, detail }, counters, obs);
             let elapsed = u64::try_from(job.enqueued.elapsed().as_nanos()).unwrap_or(u64::MAX);
             if elapsed > obs.slow_threshold_nanos() {
                 obs.note_slow(job.conn.id, job.seq, status.name(), elapsed);
@@ -318,7 +304,7 @@ impl Pool<'_> {
 
     /// Answers one request on `conn` from the reader side.
     fn answer(&self, conn: &Conn, seq: u64, status: Status, detail: String) {
-        conn.send(Response { seq, status, detail }, &self.counters, self.rec);
+        conn.send(Response { seq, status, detail }, &self.counters, self.obs);
     }
 
     /// The per-connection reader loop: reads frames until EOF,
@@ -331,7 +317,7 @@ impl Pool<'_> {
         conn: &Arc<Conn>,
         jobs_tx: SyncSender<ConnJob>,
     ) -> Option<std::io::Error> {
-        let (counters, rec, obs) = (&self.counters, self.rec, self.obs);
+        let (counters, obs) = (&self.counters, self.obs);
         let mut seq = 0u64;
         loop {
             let frame = match read_frame_deadline(input, self.cfg.max_frame_bytes, read_deadline) {
@@ -349,7 +335,7 @@ impl Pool<'_> {
                     }
                     let class = fault_class(e.kind());
                     counters.conn_faults.fetch_add(1, Ordering::Relaxed);
-                    counter(rec, conn.id, SpanId::new("serve/conn"), class, 1);
+                    counter(obs, conn.id, SpanId::new("serve/conn"), class, 1);
                     obs.flight_event("conn-fault", conn.id, seq, class, e.to_string());
                     // The fault response carries the seq the faulted
                     // frame would have had.
@@ -363,7 +349,7 @@ impl Pool<'_> {
                 Some(REQ_VERIFY) => {
                     counters.inflight.fetch_add(1, Ordering::SeqCst);
                     let depth = counters.queue_depth.fetch_add(1, Ordering::SeqCst) + 1;
-                    rec.gauge("serve/queue-depth", depth);
+                    obs.gauge("serve/queue-depth", depth);
                     let job = ConnJob {
                         conn: Arc::clone(conn),
                         seq: this_seq,
@@ -376,7 +362,7 @@ impl Pool<'_> {
                             counters.inflight.fetch_sub(1, Ordering::SeqCst);
                             counters.queue_depth.fetch_sub(1, Ordering::SeqCst);
                             counters.busy.fetch_add(1, Ordering::Relaxed);
-                            counter(rec, this_seq, SpanId::new("serve/request"), "busy", 1);
+                            counter(obs, this_seq, SpanId::new("serve/request"), "busy", 1);
                             obs.flight_event(
                                 "busy",
                                 conn.id,
@@ -409,7 +395,7 @@ impl Pool<'_> {
                 }
                 tag => {
                     counters.malformed.fetch_add(1, Ordering::Relaxed);
-                    counter(rec, this_seq, SpanId::new("serve/request"), "malformed", 1);
+                    counter(obs, this_seq, SpanId::new("serve/request"), "malformed", 1);
                     let detail = format!("unknown request tag {tag:?}");
                     self.answer(conn, this_seq, Status::Malformed, detail);
                 }
@@ -523,11 +509,10 @@ pub fn serve_concurrent(
     cfg: &ServeConfig,
     listener: TcpListener,
     shutdown: &ShutdownFlag,
-    rec: &dyn Recorder,
 ) -> std::io::Result<ServeStats> {
     listener.set_nonblocking(true)?;
     let (result, stats) =
-        run_pool(cfg, rec, shutdown, |pool, jobs_tx| pool.accept_and_drain(&listener, jobs_tx));
+        run_pool(cfg, shutdown, |pool, jobs_tx| pool.accept_and_drain(&listener, jobs_tx));
     result.map(|()| stats)
 }
 
@@ -541,9 +526,8 @@ pub fn serve_pipe(
     cfg: &ServeConfig,
     input: &mut dyn Read,
     output: &mut dyn Write,
-    rec: &dyn Recorder,
 ) -> std::io::Result<ServeStats> {
-    let (read, stats) = run_pool(cfg, rec, &ShutdownFlag::new(), |pool, jobs_tx| {
+    let (read, stats) = run_pool(cfg, &ShutdownFlag::new(), |pool, jobs_tx| {
         let conn = pool.open(Sink::Collect(Vec::new()));
         match pool.read_connection(input, None, &conn, jobs_tx) {
             Some(fault) => Err(fault),
@@ -566,11 +550,10 @@ pub fn serve_tcp(
     port: u16,
     shutdown: &ShutdownFlag,
     reporter: &mut Reporter,
-    rec: &dyn Recorder,
 ) -> std::io::Result<ServeStats> {
     let listener = TcpListener::bind(("127.0.0.1", port))?;
     reporter.line(&format!("pdip serve: listening on {}", listener.local_addr()?));
-    let stats = serve_concurrent(cfg, listener, shutdown, rec)?;
+    let stats = serve_concurrent(cfg, listener, shutdown)?;
     reporter.line(&format!(
         "pdip serve: drained — accept={} reject={} malformed={} busy={} deadline={} \
          panics={} conn_faults={} io_errors={} connections={}",
@@ -625,6 +608,6 @@ pub fn spawn_server(cfg: ServeConfig) -> std::io::Result<ServerHandle> {
     let port = listener.local_addr()?.port();
     let shutdown = ShutdownFlag::new();
     let flag = shutdown.clone();
-    let join = thread::spawn(move || serve_concurrent(&cfg, listener, &flag, &NoopRecorder));
+    let join = thread::spawn(move || serve_concurrent(&cfg, listener, &flag));
     Ok(ServerHandle { port, shutdown, join })
 }

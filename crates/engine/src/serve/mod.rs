@@ -684,7 +684,6 @@ impl ServeSmokeReport {
 mod tests {
     use super::harness::{honest_blob, verify_frame};
     use super::*;
-    use pdip_obs::NoopRecorder;
 
     /// Feeds `frames` through the pipe front-end and decodes its output.
     fn pipe(cfg: &ServeConfig, frames: &[Vec<u8>]) -> (Vec<Response>, ServeStats) {
@@ -693,7 +692,7 @@ mod tests {
             write_frame(&mut input, f).unwrap();
         }
         let mut output = Vec::new();
-        let stats = serve_pipe(cfg, &mut input.as_slice(), &mut output, &NoopRecorder).unwrap();
+        let stats = serve_pipe(cfg, &mut input.as_slice(), &mut output).unwrap();
         let mut cur = output.as_slice();
         let mut responses = Vec::new();
         while let Some(f) = read_frame(&mut cur).unwrap() {
@@ -733,7 +732,7 @@ mod tests {
         input.extend_from_slice(&[REQ_PING; 8]);
         let cfg = ServeConfig { threads: 1, ..Default::default() };
         let mut output = Vec::new();
-        let err = serve_pipe(&cfg, &mut input.as_slice(), &mut output, &NoopRecorder).unwrap_err();
+        let err = serve_pipe(&cfg, &mut input.as_slice(), &mut output).unwrap_err();
         assert_eq!(err.kind(), std::io::ErrorKind::UnexpectedEof);
         assert!(output.is_empty());
     }

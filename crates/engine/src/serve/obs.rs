@@ -2,10 +2,8 @@
 //!
 //! [`ServeObs`] owns a [`MetricsRegistry`] (always-on counters, gauges,
 //! and latency histograms) plus a [`FlightRecorder`] (a bounded ring of
-//! recent structured events), and implements [`Recorder`] so the serve
-//! front-ends can feed it from their existing instrumentation points —
-//! typically through a [`pdip_obs::TeeRecorder`] next to whatever trace
-//! recorder the caller supplied.
+//! recent structured events), and implements [`Recorder`]: the serve
+//! worker pool records every instrumentation point straight into it.
 //!
 //! # Metric naming scheme
 //!

@@ -145,6 +145,7 @@ mod tests {
     use crate::family::Family;
     use crate::pool::Engine;
     use crate::spec::{ProverSpec, SweepSpec};
+    use pdip_obs::NoopRecorder;
 
     fn spec() -> SweepSpec {
         SweepSpec {
@@ -160,8 +161,8 @@ mod tests {
     #[test]
     fn json_is_deterministic_across_thread_counts() {
         let spec = spec();
-        let a = aggregate_json(&spec, &Engine::with_threads(1).run(&spec));
-        let b = aggregate_json(&spec, &Engine::with_threads(4).run(&spec));
+        let a = aggregate_json(&spec, &Engine::with_threads(1).run(&spec, &NoopRecorder));
+        let b = aggregate_json(&spec, &Engine::with_threads(4).run(&spec, &NoopRecorder));
         assert_eq!(a, b, "aggregate JSON must not depend on worker count");
         assert!(a.contains("\"quarantined\": 2"));
         assert!(a.contains("\"kind\": \"panicked\""));
@@ -172,7 +173,7 @@ mod tests {
     fn json_reports_timed_out_failures() {
         use std::time::Duration;
         let spec = SweepSpec { job_deadline: Some(Duration::ZERO), ..spec() };
-        let json = aggregate_json(&spec, &Engine::with_threads(1).run(&spec));
+        let json = aggregate_json(&spec, &Engine::with_threads(1).run(&spec, &NoopRecorder));
         assert!(json.contains("\"kind\": \"timed-out\""));
         assert!(json.contains("watchdog"));
     }
@@ -180,7 +181,7 @@ mod tests {
     #[test]
     fn csv_has_one_row_per_record() {
         let spec = spec();
-        let outcome = Engine::with_threads(2).run(&spec);
+        let outcome = Engine::with_threads(2).run(&spec, &NoopRecorder);
         let csv = records_csv(&outcome);
         // Header plus one line per completed record (panics quarantine).
         assert_eq!(csv.lines().count(), 1 + outcome.records.len());

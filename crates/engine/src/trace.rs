@@ -176,7 +176,7 @@ impl TraceOutcome {
 pub fn run_trace(spec: &TraceSpec) -> TraceOutcome {
     let sweep = spec.sweep();
     let rec = CollectingRecorder::new();
-    let outcome = Engine::with_threads(spec.threads.max(1)).run_traced(&sweep, &rec);
+    let outcome = Engine::with_threads(spec.threads.max(1)).run(&sweep, &rec);
     let trace = rec.drain();
 
     let mut audit: Vec<String> = Vec::new();

@@ -8,6 +8,7 @@
 use pdip_engine::{
     aggregate_json, job_seed, sub_seed, Engine, Family, ProverSpec, RunRecord, SweepSpec,
 };
+use pdip_obs::NoopRecorder;
 use proptest::prelude::*;
 
 fn demo_spec() -> SweepSpec {
@@ -45,8 +46,8 @@ fn timeless(r: &RunRecord) -> String {
 #[test]
 fn parallel_and_serial_sweeps_produce_identical_records() {
     let spec = demo_spec();
-    let serial = Engine::with_threads(1).run(&spec);
-    let parallel = Engine::with_threads(4).run(&spec);
+    let serial = Engine::with_threads(1).run(&spec, &NoopRecorder);
+    let parallel = Engine::with_threads(4).run(&spec, &NoopRecorder);
 
     // Records: same count, same grid order, same content field by field.
     assert_eq!(serial.records.len(), parallel.records.len());
@@ -75,8 +76,8 @@ fn watchdog_timeouts_are_deterministic_across_thread_counts() {
     use pdip_engine::FailureKind;
     use std::time::Duration;
     let spec = SweepSpec { job_deadline: Some(Duration::ZERO), ..demo_spec() };
-    let serial = Engine::with_threads(1).run(&spec);
-    let parallel = Engine::with_threads(4).run(&spec);
+    let serial = Engine::with_threads(1).run(&spec, &NoopRecorder);
+    let parallel = Engine::with_threads(4).run(&spec, &NoopRecorder);
 
     assert!(serial.records.is_empty(), "zero deadline must time out every completed job");
     assert_eq!(serial.failures.len(), parallel.failures.len());
@@ -99,7 +100,7 @@ fn watchdog_timeouts_are_deterministic_across_thread_counts() {
 
 #[test]
 fn record_stream_is_sorted_in_grid_order() {
-    let outcome = Engine::with_threads(4).run(&demo_spec());
+    let outcome = Engine::with_threads(4).run(&demo_spec(), &NoopRecorder);
     for w in outcome.records.windows(2) {
         assert!(w[0].index < w[1].index, "records must come back sorted by grid index");
     }

@@ -9,6 +9,7 @@
 
 use pdip_core::{par, RunResult};
 use pdip_engine::{aggregate_json, Engine, Family, ProverSpec, SweepSpec, YesInstance};
+use pdip_obs::NoopRecorder;
 use pdip_protocols::replay::{capture_run, diff_transcripts};
 use pdip_protocols::{PopParams, Transport};
 use std::sync::{Mutex, MutexGuard};
@@ -74,12 +75,12 @@ fn sweeps_pin_intra_workers_serial() {
         ..SweepSpec::default()
     };
     par::set_intra_workers(1);
-    let baseline = Engine::with_threads(1).run(&spec);
-    // A parallel sweep with the intra knob wide open: pool workers install
-    // the serial guard, so no second thread layer opens and the records
-    // still match the all-serial baseline byte for byte.
+    let baseline = Engine::with_threads(1).run(&spec, &NoopRecorder);
+    // A parallel sweep with the intra knob wide open: the engine's
+    // workers install the serial guard, so no second thread layer opens
+    // and the records still match the all-serial baseline byte for byte.
     par::set_intra_workers(4);
-    let nested = Engine::with_threads(2).run(&spec);
+    let nested = Engine::with_threads(2).run(&spec, &NoopRecorder);
     par::set_intra_workers(1);
     assert_eq!(aggregate_json(&spec, &baseline), aggregate_json(&spec, &nested));
 }

@@ -5,6 +5,7 @@
 //! must be a deliberate, test-visible change.
 
 use pdip_engine::{Engine, Family, ProverSpec, Reporter, SweepSpec};
+use pdip_obs::NoopRecorder;
 
 #[test]
 fn table_snapshot_is_stable() {
@@ -37,7 +38,7 @@ fn summary_line_snapshot_through_reporter() {
         base_seed: 9,
         ..SweepSpec::default()
     };
-    let outcome = Engine::with_threads(2).run(&spec);
+    let outcome = Engine::with_threads(2).run(&spec, &NoopRecorder);
     let mut rep = Reporter::buffered();
     rep.summary(&outcome.metrics);
     let got = rep.into_string();

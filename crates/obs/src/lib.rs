@@ -12,13 +12,14 @@
 //! * **duration histograms** — log2-bucketed nanosecond histograms
 //!   ([`Histogram`]) keyed by span name.
 //!
-//! Two recorders ship with the crate. [`NoopRecorder`] is the default
+//! Three recorders ship with the crate. [`NoopRecorder`] is the default
 //! everywhere: every method is an empty body behind an `enabled()`
 //! check, so instrumented hot paths do **zero** allocations and never
 //! read the clock (guarded by the counting-allocator test in
-//! `tests/alloc_noop.rs`). [`CollectingRecorder`] buffers events —
-//! optionally through per-worker [`BufferedRecorder`] shards merged at
-//! drain — and yields a [`Trace`].
+//! `tests/alloc_noop.rs`). [`CollectingRecorder`] gathers events and
+//! yields a [`Trace`] at drain. [`BufferedRecorder`] sits in front of
+//! either for one job: it stamps the job's context id onto every event
+//! and hands the job's events over as one contiguous shard.
 //!
 //! # Determinism rules
 //!
@@ -30,12 +31,12 @@
 //!    index, protocol name, round number), never from scheduling or
 //!    time. Wall-clock nanoseconds live in a *separate optional field*
 //!    ([`Stamped::wall_nanos`]) that deterministic consumers ignore.
-//! 2. **Shard-contiguous merge.** Each worker buffers into its own
-//!    shard; [`CollectingRecorder::drain`] concatenates shards and
+//! 2. **Shard-contiguous merge.** Each job buffers into its own shard;
+//!    [`CollectingRecorder::drain`] concatenates shards and
 //!    stable-sorts by `(ctx, span)`. Any one `(ctx, span)` group is
-//!    produced by exactly one worker (engine job indices are unique),
-//!    so within-group order is that worker's deterministic insertion
-//!    order regardless of flush timing.
+//!    produced by exactly one job (engine job indices are unique), so
+//!    within-group order is that job's deterministic insertion order
+//!    regardless of which worker ran it or when it flushed.
 //! 3. **Histograms are timing data.** Duration histograms are kept
 //!    apart from the event stream and must never be written into a
 //!    committed artifact — stdout breakdowns only.
@@ -49,9 +50,9 @@
 //! gauges, and atomic duration histograms with snapshot/delta
 //! semantics and a Prometheus-style text encoder — plus
 //! [`FlightRecorder`], a bounded ring of recent structured events
-//! dumped as JSONL for post-mortem analysis. [`TeeRecorder`] feeds a
-//! trace recorder and a live bridge from the same instrumentation
-//! points.
+//! dumped as JSONL for post-mortem analysis. The serve path's bridge
+//! (`pdip_engine::serve::ServeObs`) implements [`Recorder`] over both,
+//! so the same instrumentation points feed live metrics.
 
 #![warn(missing_docs)]
 #![deny(clippy::unwrap_used, clippy::expect_used)]
@@ -71,9 +72,7 @@ pub use mem::{
     alloc_installed, alloc_live_bytes, alloc_peak_bytes, peak_rss_bytes, reset_peak, PeakAlloc,
 };
 pub use metrics::{AtomicHistogram, Counter, Gauge, GaugeValue, MetricsRegistry, MetricsSnapshot};
-pub use recorder::{
-    BufferedRecorder, CollectingRecorder, NoopRecorder, ScopedRecorder, TeeRecorder, Trace,
-};
+pub use recorder::{BufferedRecorder, CollectingRecorder, NoopRecorder, Trace};
 pub use span::{counter, span, Event, EventKind, SpanGuard, SpanId, Stamped};
 pub use stopwatch::Stopwatch;
 

@@ -1,5 +1,5 @@
-//! The shipped recorders: noop, collecting (with buffered shards and
-//! context scoping), and the drained [`Trace`].
+//! The shipped recorders: noop, collecting (with per-job buffered
+//! shards that stamp their context), and the drained [`Trace`].
 
 use crate::{Event, Histogram, Recorder, SpanId, Stamped};
 use std::collections::BTreeMap;
@@ -19,12 +19,13 @@ impl Recorder for NoopRecorder {}
 /// An enabled recorder that collects events into shards and durations
 /// into per-name histograms, drained into a [`Trace`].
 ///
-/// Events recorded directly land in this recorder's own shard; worker
-/// threads should record through a [`BufferedRecorder`] so their
-/// events arrive as one contiguous shard each (rule 2 of the crate's
-/// determinism rules). Wall-clock stamping is off by default; enable
-/// it with [`CollectingRecorder::with_wall_clock`] when exporting
-/// Chrome traces — stamps stay outside the deterministic event tuple.
+/// Events recorded directly land in this recorder's own shard; jobs
+/// running on worker threads should record through a
+/// [`BufferedRecorder`] so their events arrive as one contiguous shard
+/// each (rule 2 of the crate's determinism rules). Wall-clock stamping
+/// is off by default; enable it with
+/// [`CollectingRecorder::with_wall_clock`] when exporting Chrome traces
+/// — stamps stay outside the deterministic event tuple.
 #[derive(Debug)]
 pub struct CollectingRecorder {
     /// Flushed worker shards plus (last) this recorder's direct shard.
@@ -120,23 +121,29 @@ impl Recorder for CollectingRecorder {
     }
 }
 
-/// A per-worker buffer in front of a shared recorder.
+/// A per-job buffer in front of a shared recorder.
 ///
-/// Workers record into a local vector (one uncontended mutex, no
-/// cross-thread traffic) and the whole buffer is flushed to the parent
-/// as a single contiguous shard on drop — which is what makes the
-/// parent's drain order independent of scheduling. Durations pass
-/// straight through (histogram merge is order-insensitive).
+/// Every event recorded through it is stamped with the buffer's fixed
+/// context id `ctx` (the engine uses the job's grid index), so
+/// protocol-level spans — which always record with `ctx = 0` — become
+/// unambiguous per-job groups after the drain's sort. Events collect in
+/// a local vector (one uncontended mutex, no cross-thread traffic) and
+/// the whole buffer is flushed to the parent as a single contiguous
+/// shard on drop — which is what makes the parent's drain order
+/// independent of scheduling. Durations and gauges pass straight
+/// through (histogram merge is order-insensitive).
 pub struct BufferedRecorder<'a> {
     parent: &'a dyn Recorder,
+    ctx: u64,
     buf: Mutex<Vec<Stamped>>,
 }
 
 impl<'a> BufferedRecorder<'a> {
-    /// A buffer in front of `parent`. Costs nothing (not even the
-    /// buffer allocation) while `parent` is disabled.
-    pub fn new(parent: &'a dyn Recorder) -> Self {
-        Self { parent, buf: Mutex::new(Vec::new()) }
+    /// A buffer in front of `parent` that stamps `ctx` onto every event.
+    /// Costs nothing (not even the buffer allocation) while `parent` is
+    /// disabled.
+    pub fn new(parent: &'a dyn Recorder, ctx: u64) -> Self {
+        Self { parent, ctx, buf: Mutex::new(Vec::new()) }
     }
 }
 
@@ -149,7 +156,8 @@ impl Recorder for BufferedRecorder<'_> {
         self.parent.now()
     }
 
-    fn record(&self, ev: Event) {
+    fn record(&self, mut ev: Event) {
+        ev.ctx = self.ctx;
         let wall_nanos = self.parent.now();
         if let Ok(mut buf) = self.buf.lock() {
             buf.push(Stamped { ev, wall_nanos });
@@ -171,104 +179,6 @@ impl Drop for BufferedRecorder<'_> {
         if !buf.is_empty() {
             self.parent.flush_shard(buf);
         }
-    }
-}
-
-/// A recorder view that stamps a fixed context id onto every event.
-///
-/// The engine wraps each job's recorder in one of these with the job
-/// index as `ctx`, so protocol-level spans (which always record with
-/// `ctx = 0`) become unambiguous per-job groups after the sort.
-pub struct ScopedRecorder<'a> {
-    inner: &'a dyn Recorder,
-    ctx: u64,
-}
-
-impl<'a> ScopedRecorder<'a> {
-    /// A view of `inner` that rewrites every event's `ctx`.
-    pub fn new(inner: &'a dyn Recorder, ctx: u64) -> Self {
-        Self { inner, ctx }
-    }
-}
-
-impl Recorder for ScopedRecorder<'_> {
-    fn enabled(&self) -> bool {
-        self.inner.enabled()
-    }
-
-    fn now(&self) -> Option<u64> {
-        self.inner.now()
-    }
-
-    fn record(&self, mut ev: Event) {
-        ev.ctx = self.ctx;
-        self.inner.record(ev);
-    }
-
-    fn duration(&self, name: &'static str, nanos: u64) {
-        self.inner.duration(name, nanos);
-    }
-
-    fn gauge(&self, name: &'static str, value: u64) {
-        self.inner.gauge(name, value);
-    }
-}
-
-/// A recorder that forwards everything to two underlying recorders.
-///
-/// The serve path uses this to feed both a caller-supplied trace
-/// recorder and the always-on live-metrics bridge from the same
-/// instrumentation points: enabled when either side is, with events
-/// cloned only when both sides want them.
-pub struct TeeRecorder<'a> {
-    a: &'a dyn Recorder,
-    b: &'a dyn Recorder,
-}
-
-impl<'a> TeeRecorder<'a> {
-    /// A tee over `a` and `b`.
-    pub fn new(a: &'a dyn Recorder, b: &'a dyn Recorder) -> Self {
-        Self { a, b }
-    }
-}
-
-impl Recorder for TeeRecorder<'_> {
-    fn enabled(&self) -> bool {
-        self.a.enabled() || self.b.enabled()
-    }
-
-    fn now(&self) -> Option<u64> {
-        self.a.now().or_else(|| self.b.now())
-    }
-
-    fn record(&self, ev: Event) {
-        if self.a.enabled() {
-            self.a.record(ev);
-        }
-        if self.b.enabled() {
-            self.b.record(ev);
-        }
-    }
-
-    fn flush_shard(&self, shard: Vec<Stamped>) {
-        if self.a.enabled() && self.b.enabled() {
-            self.a.flush_shard(shard.clone());
-            self.b.flush_shard(shard);
-        } else if self.a.enabled() {
-            self.a.flush_shard(shard);
-        } else if self.b.enabled() {
-            self.b.flush_shard(shard);
-        }
-    }
-
-    fn duration(&self, name: &'static str, nanos: u64) {
-        self.a.duration(name, nanos);
-        self.b.duration(name, nanos);
-    }
-
-    fn gauge(&self, name: &'static str, value: u64) {
-        self.a.gauge(name, value);
-        self.b.gauge(name, value);
     }
 }
 
@@ -340,5 +250,30 @@ impl Trace {
                 _ => None,
             })
             .max()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::{counter, span};
+
+    #[test]
+    fn job_buffer_stamps_its_ctx_and_lands_as_one_contiguous_shard() {
+        let rec = CollectingRecorder::new();
+        counter(&rec, 0, SpanId::new("direct"), "k", 1);
+        {
+            let buf = BufferedRecorder::new(&rec, 9);
+            let _g = span(&buf, 0, SpanId::new("job"));
+            counter(&buf, 0, SpanId::at("job/round", 1), "bits", 3);
+            counter(&buf, 5, SpanId::at("job/round", 2), "bits", 4);
+            // Nothing reaches the parent before the buffer drops.
+            assert!(CollectingRecorder::lock(&rec.shards).is_empty());
+        }
+        let shards = CollectingRecorder::lock(&rec.shards);
+        assert_eq!(shards.len(), 1, "one job, one shard");
+        assert_eq!(shards[0].len(), 4, "enter + 2 counters + exit");
+        assert!(shards[0].iter().all(|s| s.ev.ctx == 9), "every event carries the job's ctx");
+        assert_eq!(CollectingRecorder::lock(&rec.direct).len(), 1, "direct events stay apart");
     }
 }

@@ -59,7 +59,8 @@ pub enum EventKind {
 /// One deterministic instrumentation event.
 ///
 /// `ctx` scopes the event to a logical context — the engine stamps the
-/// job index via [`crate::ScopedRecorder`]; standalone runs use 0.
+/// job index via its per-job [`crate::BufferedRecorder`]; standalone
+/// runs use 0.
 /// Nothing in this tuple may depend on wall-clock time or scheduling.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct Event {

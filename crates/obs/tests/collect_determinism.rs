@@ -2,33 +2,28 @@
 //! count, scheduling, and flush timing — that is what lets `pdip
 //! trace` commit byte-identical artifacts at `--threads 1` vs `4`.
 
-use pdip_obs::{
-    counter, span, BufferedRecorder, CollectingRecorder, Event, ScopedRecorder, SpanId,
-};
+use pdip_obs::{counter, span, BufferedRecorder, CollectingRecorder, Event, SpanId};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Simulate an engine sweep: `jobs` logical jobs partitioned over
 /// `threads` workers (work-stealing via an atomic cursor, so the
-/// job→thread assignment is scheduling-dependent), each worker
-/// buffering into its own shard.
+/// job→thread assignment is scheduling-dependent), each job buffering
+/// into its own shard stamped with the job's context.
 fn run_sharded(jobs: u64, threads: usize) -> Vec<Event> {
     let rec = CollectingRecorder::new();
     let cursor = AtomicU64::new(0);
     std::thread::scope(|s| {
         for _ in 0..threads {
-            s.spawn(|| {
-                let buf = BufferedRecorder::new(&rec);
-                loop {
-                    let job = cursor.fetch_add(1, Ordering::Relaxed);
-                    if job >= jobs {
-                        break;
-                    }
-                    let scoped = ScopedRecorder::new(&buf, job);
-                    let id = SpanId::at("job/execute", job % 3);
-                    let _g = span(&scoped, 0, id);
-                    for round in 0..4u64 {
-                        counter(&scoped, 0, SpanId::at("job/round", round), "bits", job ^ round);
-                    }
+            s.spawn(|| loop {
+                let job = cursor.fetch_add(1, Ordering::Relaxed);
+                if job >= jobs {
+                    break;
+                }
+                let buf = BufferedRecorder::new(&rec, job);
+                let id = SpanId::at("job/execute", job % 3);
+                let _g = span(&buf, 0, id);
+                for round in 0..4u64 {
+                    counter(&buf, 0, SpanId::at("job/round", round), "bits", job ^ round);
                 }
             });
         }
@@ -57,10 +52,12 @@ fn drain_groups_are_sorted_by_ctx_then_span() {
 }
 
 #[test]
-fn scoped_recorder_stamps_context() {
+fn buffered_recorder_stamps_context() {
     let rec = CollectingRecorder::new();
-    let scoped = ScopedRecorder::new(&rec, 17);
-    counter(&scoped, 0, SpanId::new("x"), "k", 1);
+    {
+        let buf = BufferedRecorder::new(&rec, 17);
+        counter(&buf, 0, SpanId::new("x"), "k", 1);
+    }
     let t = rec.drain();
     assert_eq!(t.events().len(), 1);
     assert_eq!(t.events()[0].ev.ctx, 17);

@@ -10,6 +10,7 @@
 //! the sub-protocols.
 
 use pdip_core::{DipProtocol, RunResult, SizeStats, Verdict};
+use pdip_obs::Recorder;
 
 /// A `k`-fold parallel repetition of an inner protocol.
 #[derive(Debug)]
@@ -33,12 +34,13 @@ impl<P: DipProtocol> Amplified<P> {
         &self.inner
     }
 
-    fn combine(&self, runs: Vec<RunResult>) -> RunResult {
-        let mut stats = SizeStats { rounds: runs[0].stats.rounds, ..Default::default() };
+    /// Folds the `k` copies' runs (in copy order) into one result.
+    fn combine(&self, runs: impl Iterator<Item = RunResult>) -> RunResult {
+        let mut stats = SizeStats::default();
         let mut rejections = Vec::new();
         let mut kinds = Vec::new();
         let mut verdict = Verdict::Accept;
-        for (copy, r) in runs.into_iter().enumerate() {
+        for (copy, r) in runs.enumerate() {
             stats.merge_parallel(&r.stats);
             if !r.accepted() {
                 verdict = Verdict::Reject;
@@ -71,26 +73,24 @@ impl<P: DipProtocol> DipProtocol for Amplified<P> {
         self.inner.is_yes_instance()
     }
 
-    fn run_honest(&self, seed: u64) -> RunResult {
-        let runs = (0..self.k)
-            .map(|i| self.inner.run_honest(seed.wrapping_mul(0x9E37_79B9).wrapping_add(i as u64)))
-            .collect();
-        self.combine(runs)
-    }
-
     fn cheat_names(&self) -> Vec<String> {
         self.inner.cheat_names()
     }
 
-    fn run_cheat(&self, strategy: usize, seed: u64) -> RunResult {
-        let runs = (0..self.k)
-            .map(|i| {
-                self.inner
-                    .run_cheat(strategy, seed.wrapping_mul(0x9E37_79B9).wrapping_add(i as u64))
-            })
-            .collect();
-        self.combine(runs)
+    fn run_honest_traced(&self, seed: u64, rec: &dyn Recorder) -> RunResult {
+        self.combine((0..self.k).map(|i| self.inner.run_honest_traced(copy_seed(seed, i), rec)))
     }
+
+    fn run_cheat_traced(&self, strategy: usize, seed: u64, rec: &dyn Recorder) -> RunResult {
+        self.combine(
+            (0..self.k).map(|i| self.inner.run_cheat_traced(strategy, copy_seed(seed, i), rec)),
+        )
+    }
+}
+
+/// The run seed of copy `i` under the outer run seed `seed`.
+fn copy_seed(seed: u64, i: usize) -> u64 {
+    seed.wrapping_mul(0x9E37_79B9).wrapping_add(i as u64)
 }
 
 #[cfg(test)]

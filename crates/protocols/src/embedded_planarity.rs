@@ -15,9 +15,9 @@
 use crate::lr_sorting::Transport;
 use crate::path_outerplanar::{PathOuterplanarity, PopCheat, PopInstance, PopParams};
 use crate::spanning_tree::{SpanningTreeVerification, StParams};
-use pdip_core::{trace_stats, DipProtocol, Rejections, RunResult, SizeStats};
+use pdip_core::{DipProtocol, Rejections, RunResult, SizeStats};
 use pdip_graph::{with_thread_scratch, EdgeId, Graph, NodeId, RootedForest, RotationSystem};
-use pdip_obs::{span, NoopRecorder, Recorder, SpanId, Stopwatch};
+use pdip_obs::{span, Recorder, SpanId, Stopwatch};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
@@ -262,28 +262,18 @@ impl<'a> EmbeddedPlanarity<'a> {
         &self.inst.graph
     }
 
-    /// One full run.
-    pub fn run(&self, cheat: Option<EmbCheat>, seed: u64) -> RunResult {
-        self.run_with(cheat, seed, &NoopRecorder)
-    }
-
-    /// [`EmbeddedPlanarity::run`] with an instrumentation [`Recorder`]:
-    /// stage spans, Lemma 2.5 primitive spans, and per-round bit counters
-    /// ([`trace_stats`]). With a disabled recorder this is the same run.
-    pub fn run_with(&self, cheat: Option<EmbCheat>, seed: u64, rec: &dyn Recorder) -> RunResult {
-        let res = self.run_inner(cheat, seed, rec);
-        trace_stats(rec, "embedded-planarity", &res.stats);
-        res
-    }
-
-    fn run_inner(&self, cheat: Option<EmbCheat>, seed: u64, rec: &dyn Recorder) -> RunResult {
+    /// One full run with an instrumentation [`Recorder`]: stage spans,
+    /// Lemma 2.5 primitive spans, and per-round bit counters
+    /// ([`pdip_core::trace_stats`]). With a disabled recorder this is the
+    /// same run.
+    pub fn run(&self, cheat: Option<EmbCheat>, seed: u64, rec: &dyn Recorder) -> RunResult {
         let g = self.g();
         let n = g.n();
         let mut rng = SmallRng::seed_from_u64(seed);
         let mut rej = Rejections::new();
         let mut stats = SizeStats { rounds: 5, ..Default::default() };
         if n <= 2 {
-            return rej.into_result(stats);
+            return rej.into_result(stats).traced(rec, "embedded-planarity");
         }
 
         // ---- Spanning-tree commitment + verification ----
@@ -316,7 +306,7 @@ impl<'a> EmbeddedPlanarity<'a> {
         if !tree.is_spanning_tree(g) {
             stats.per_round_max_bits = vec![8, st.msg_bits(), 0];
             stats.coin_bits = n * st.coin_bits();
-            return rej.into_result(stats);
+            return rej.into_result(stats).traced(rec, "embedded-planarity");
         }
 
         drop(st_watch);
@@ -349,7 +339,7 @@ impl<'a> EmbeddedPlanarity<'a> {
             Some(EmbCheat::ForceMark) => Some(PopCheat::NestingForceMark),
             _ => None,
         };
-        let res = sub.run_with(sub_cheat, rng.gen(), rec);
+        let res = sub.run(sub_cheat, rng.gen(), rec);
         // Each original node simulates at most 5 copies of h — multiply the
         // per-round bounds accordingly (§7 simulation argument).
         let mut sub_stats = res.stats.clone();
@@ -368,7 +358,7 @@ impl<'a> EmbeddedPlanarity<'a> {
             let orig = copy_of.get(copy).copied().unwrap_or(0);
             rej.reject_as(orig, kind, format!("emb/h: {reason}"));
         }
-        rej.into_result(stats)
+        rej.into_result(stats).traced(rec, "embedded-planarity")
     }
 }
 
@@ -389,24 +379,16 @@ impl DipProtocol for EmbeddedPlanarity<'_> {
         self.inst.is_yes
     }
 
-    fn run_honest(&self, seed: u64) -> RunResult {
-        self.run(None, seed)
-    }
-
     fn cheat_names(&self) -> Vec<String> {
         vec!["honest-sweep".into(), "force-mark".into(), "fake-tree".into()]
     }
 
-    fn run_cheat(&self, strategy: usize, seed: u64) -> RunResult {
-        self.run(Some(EMB_CHEATS[strategy]), seed)
-    }
-
     fn run_honest_traced(&self, seed: u64, rec: &dyn Recorder) -> RunResult {
-        self.run_with(None, seed, rec)
+        self.run(None, seed, rec)
     }
 
     fn run_cheat_traced(&self, strategy: usize, seed: u64, rec: &dyn Recorder) -> RunResult {
-        self.run_with(Some(EMB_CHEATS[strategy]), seed, rec)
+        self.run(Some(EMB_CHEATS[strategy]), seed, rec)
     }
 }
 
@@ -415,6 +397,7 @@ mod tests {
     use super::*;
     use pdip_graph::gen::planar::{random_planar, random_triangulation, scrambled_embedding};
     use pdip_graph::outerplanar::is_path_outerplanar_with;
+    use pdip_obs::NoopRecorder;
 
     #[test]
     fn lemma_7_3_forward() {
@@ -480,7 +463,7 @@ mod tests {
                 let gen = scrambled_embedding(25, &mut rng);
                 let inst = EmbInstance { graph: gen.graph, rho: gen.rho, is_yes: false };
                 let p = EmbeddedPlanarity::new(&inst, PopParams::default(), Transport::Native);
-                if p.run(Some(cheat), seed).accepted() {
+                if p.run(Some(cheat), seed, &NoopRecorder).accepted() {
                     accepted += 1;
                 }
             }
@@ -496,7 +479,7 @@ mod tests {
         let p = EmbeddedPlanarity::new(&inst, PopParams::default(), Transport::Native);
         let mut accepted = 0;
         for seed in 0..100 {
-            if p.run(Some(EmbCheat::FakeTree), seed).accepted() {
+            if p.run(Some(EmbCheat::FakeTree), seed, &NoopRecorder).accepted() {
                 accepted += 1;
             }
         }

@@ -30,7 +30,7 @@
 
 use crate::edge_labels::EdgeLabelCarrier;
 use crate::multiset_eq::{MsMsg, MultisetEq};
-use pdip_core::{bits_for_max, capture, trace_stats, Rejections, RunResult, SizeStats};
+use pdip_core::{bits_for_max, capture, Rejections, RunResult, SizeStats};
 use pdip_field::{prefix_poly_evals, smallest_prime_above, Fp};
 use pdip_graph::gen::lr::LrInstance;
 use pdip_graph::{EdgeId, Graph, NodeId};
@@ -725,15 +725,11 @@ impl<'a> LrSorting<'a> {
         out.resize(new_len, enc);
     }
 
-    /// Runs the whole protocol and decides.
-    pub fn run(&self, cheat: Option<LrCheat>, seed: u64) -> RunResult {
-        self.run_with(cheat, seed, &NoopRecorder)
-    }
-
-    /// [`LrSorting::run`] with instrumentation: prover-round and decide
-    /// spans plus per-round bit counters (span name `"lr-sorting"`).
-    /// Identical RNG call order and result — `rec` is observe-only.
-    pub fn run_with(&self, cheat: Option<LrCheat>, seed: u64, rec: &dyn Recorder) -> RunResult {
+    /// Runs the whole protocol and decides, with prover-round and decide
+    /// spans plus per-round bit counters (span name `"lr-sorting"`)
+    /// emitted to `rec`. Identical RNG call order and result — `rec` is
+    /// observe-only.
+    pub fn run(&self, cheat: Option<LrCheat>, seed: u64, rec: &dyn Recorder) -> RunResult {
         let mut rng = SmallRng::seed_from_u64(seed);
         // V-rounds: all nodes draw all coins (public coin model).
         let coins = {
@@ -752,12 +748,11 @@ impl<'a> LrSorting<'a> {
             let _w = Stopwatch::start(rec, "round/lr-decide");
             self.verify_given_stats(&t, &coins, stats)
         };
-        trace_stats(rec, "lr-sorting", &res.stats);
-        res
+        res.traced(rec, "lr-sorting")
     }
 
     /// Verifier rounds V1/V2: every node draws its public coins. The RNG
-    /// call order is exactly the one [`LrSorting::run_with`] uses, so
+    /// call order is exactly the one [`LrSorting::run`] uses, so
     /// replaying a stored seed reproduces the run's coins.
     pub fn draw_coins(&self, rng: &mut SmallRng) -> Vec<LrCoins> {
         (0..self.g().n())
@@ -1268,7 +1263,7 @@ mod tests {
         let mut rng = SmallRng::seed_from_u64(seed);
         let inst = random_lr_yes(n, extra, planar, &mut rng);
         let lr = LrSorting::new(&inst, LrParams::default(), transport);
-        lr.run(None, seed.wrapping_mul(31).wrapping_add(7))
+        lr.run(None, seed.wrapping_mul(31).wrapping_add(7), &NoopRecorder)
     }
 
     #[test]
@@ -1312,7 +1307,7 @@ mod tests {
                 let Some(inst) = random_lr_no(60, 30, true, 1, &mut rng) else { continue };
                 let lr = LrSorting::new(&inst, LrParams::default(), Transport::Native);
                 ran += 1;
-                if lr.run(Some(*cheat), seed).accepted() {
+                if lr.run(Some(*cheat), seed, &NoopRecorder).accepted() {
                     accepted += 1;
                 }
             }
@@ -1327,7 +1322,7 @@ mod tests {
         let inst = random_lr_yes(20, 5, true, &mut rng);
         let lr = LrSorting::new(&inst, LrParams::default(), Transport::Native);
         assert_eq!(lr.rounds(), 5);
-        let res = lr.run(None, 3);
+        let res = lr.run(None, 3, &NoopRecorder);
         assert_eq!(res.stats.rounds, 5);
         assert_eq!(res.stats.per_round_max_bits.len(), 3); // three prover rounds
     }

@@ -21,10 +21,10 @@
 use crate::lr_sorting::Transport;
 use crate::path_outerplanar::{PathOuterplanarity, PopCheat, PopInstance, PopParams};
 use crate::spanning_tree::{SpanningTreeVerification, StParams};
-use pdip_core::{trace_stats, DipProtocol, Rejections, RunResult, SizeStats, Tag};
+use pdip_core::{DipProtocol, Rejections, RunResult, SizeStats, Tag};
 use pdip_graph::outerplanar::outer_cycle;
 use pdip_graph::{BlockCutTree, Graph, NodeId, RootedForest};
-use pdip_obs::{span, NoopRecorder, Recorder, SpanId};
+use pdip_obs::{span, Recorder, SpanId};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
@@ -74,28 +74,18 @@ impl<'a> Outerplanarity<'a> {
         &self.inst.graph
     }
 
-    /// One full run.
-    pub fn run(&self, cheat: Option<OpCheat>, seed: u64) -> RunResult {
-        self.run_with(cheat, seed, &NoopRecorder)
-    }
-
-    /// [`Outerplanarity::run`] with an instrumentation [`Recorder`]: stage
-    /// spans, Lemma 2.3/2.5 primitive spans, and per-round bit counters
-    /// ([`trace_stats`]). With a disabled recorder this is the same run.
-    pub fn run_with(&self, cheat: Option<OpCheat>, seed: u64, rec: &dyn Recorder) -> RunResult {
-        let res = self.run_inner(cheat, seed, rec);
-        trace_stats(rec, "outerplanarity", &res.stats);
-        res
-    }
-
-    fn run_inner(&self, cheat: Option<OpCheat>, seed: u64, rec: &dyn Recorder) -> RunResult {
+    /// One full run with an instrumentation [`Recorder`]: stage spans,
+    /// Lemma 2.3/2.5 primitive spans, and per-round bit counters
+    /// ([`pdip_core::trace_stats`]). With a disabled recorder this is the
+    /// same run.
+    pub fn run(&self, cheat: Option<OpCheat>, seed: u64, rec: &dyn Recorder) -> RunResult {
         let g = self.g();
         let n = g.n();
         let mut rng = SmallRng::seed_from_u64(seed);
         let mut rej = Rejections::new();
         let mut stats = SizeStats { rounds: 5, ..Default::default() };
         if n <= 1 || g.m() == 0 {
-            return rej.into_result(stats);
+            return rej.into_result(stats).traced(rec, "outerplanarity");
         }
 
         // ---- The prover's block-cut decomposition ----
@@ -154,7 +144,7 @@ impl<'a> Outerplanarity<'a> {
         if let Some(orphan) = home_block.iter().position(|&c| c == usize::MAX) {
             rej.reject_malformed(orphan, "op: node without a home block in the decomposition");
             stats.per_round_max_bits = vec![self.tag_bits * 2 + 4, 0, 0];
-            return rej.into_result(stats);
+            return rej.into_result(stats).traced(rec, "outerplanarity");
         }
         // Labels sep(v) / lead(v) for v's home block.
         let sep_tag: Vec<Option<Tag>> =
@@ -243,7 +233,7 @@ impl<'a> Outerplanarity<'a> {
             // passed anyway the adversary wins this run.
             stats.per_round_max_bits = vec![self.tag_bits * 2 + 4, st.msg_bits(), 0];
             stats.coin_bits = n * (st.coin_bits() + self.tag_bits);
-            return rej.into_result(stats);
+            return rej.into_result(stats).traced(rec, "outerplanarity");
         }
 
         drop(stage2);
@@ -293,7 +283,7 @@ impl<'a> Outerplanarity<'a> {
                     _ => PopCheat::FakePath,
                 })
             };
-            let res = sub.run_with(sub_cheat, rng.gen(), rec);
+            let res = sub.run(sub_cheat, rng.gen(), rec);
             for (i, b) in res.stats.per_round_max_bits.iter().enumerate() {
                 // Parallel per-block executions: a node is charged its own
                 // block's labels (the deferral trick bounds cut nodes by a
@@ -322,7 +312,7 @@ impl<'a> Outerplanarity<'a> {
             rounds: 5,
         };
         stats.merge_parallel(&own);
-        rej.into_result(stats)
+        rej.into_result(stats).traced(rec, "outerplanarity")
     }
 }
 
@@ -397,24 +387,16 @@ impl DipProtocol for Outerplanarity<'_> {
         self.inst.is_yes
     }
 
-    fn run_honest(&self, seed: u64) -> RunResult {
-        self.run(None, seed)
-    }
-
     fn cheat_names(&self) -> Vec<String> {
         vec!["fake-block-path".into(), "block-honest-sweep".into(), "block-force-mark".into()]
     }
 
-    fn run_cheat(&self, strategy: usize, seed: u64) -> RunResult {
-        self.run(Some(OP_CHEATS[strategy]), seed)
-    }
-
     fn run_honest_traced(&self, seed: u64, rec: &dyn Recorder) -> RunResult {
-        self.run_with(None, seed, rec)
+        self.run(None, seed, rec)
     }
 
     fn run_cheat_traced(&self, strategy: usize, seed: u64, rec: &dyn Recorder) -> RunResult {
-        self.run_with(Some(OP_CHEATS[strategy]), seed, rec)
+        self.run(Some(OP_CHEATS[strategy]), seed, rec)
     }
 }
 
@@ -425,6 +407,7 @@ mod tests {
     use pdip_graph::gen::no_instances::planar_not_outerplanar;
     use pdip_graph::gen::outerplanar::random_outerplanar;
     use pdip_graph::is_outerplanar;
+    use pdip_obs::NoopRecorder;
 
     #[test]
     fn perfect_completeness() {
@@ -450,7 +433,7 @@ mod tests {
                 let g = planar_not_outerplanar(12, &mut rng);
                 let inst = OpInstance { graph: g, is_yes: false };
                 let op = Outerplanarity::new(&inst, PopParams::default(), Transport::Native);
-                if op.run(Some(cheat), seed).accepted() {
+                if op.run(Some(cheat), seed, &NoopRecorder).accepted() {
                     accepted += 1;
                 }
             }
@@ -470,7 +453,7 @@ mod tests {
         let op = Outerplanarity::new(&inst, PopParams::default(), Transport::Native);
         let mut accepted = 0;
         for seed in 0..100 {
-            if op.run(Some(OpCheat::BlockForceMark), seed).accepted() {
+            if op.run(Some(OpCheat::BlockForceMark), seed, &NoopRecorder).accepted() {
                 accepted += 1;
             }
         }

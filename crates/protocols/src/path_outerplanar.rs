@@ -21,10 +21,10 @@ use crate::forest_code::{decode_parent, ForestCode};
 use crate::lr_sorting::{LrCheat, LrParams, LrSorting, Transport};
 use crate::nesting::{self, NestingLabels};
 use crate::spanning_tree::{SpanningTreeVerification, StParams};
-use pdip_core::{par, trace_stats, DipProtocol, Rejections, RunResult, SizeStats, Tag};
+use pdip_core::{par, DipProtocol, Rejections, RunResult, SizeStats, Tag};
 use pdip_graph::gen::lr::LrInstance;
 use pdip_graph::{Graph, NodeId, Orientation, RootedForest};
-use pdip_obs::{span, NoopRecorder, Recorder, SpanId, Stopwatch};
+use pdip_obs::{span, Recorder, SpanId, Stopwatch};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
@@ -119,22 +119,11 @@ impl<'a> PathOuterplanarity<'a> {
         }
     }
 
-    /// One full run.
-    pub fn run(&self, cheat: Option<PopCheat>, seed: u64) -> RunResult {
-        self.run_with(cheat, seed, &NoopRecorder)
-    }
-
-    /// [`PathOuterplanarity::run`] with instrumentation: stage spans
+    /// One full run with an instrumentation [`Recorder`]: stage spans
     /// (path commit / LR-sorting / nesting), Lemma 2.3/2.5 primitive
     /// spans, and per-round bit counters under span name
     /// `"path-outerplanarity"`. Identical RNG call order and result.
-    pub fn run_with(&self, cheat: Option<PopCheat>, seed: u64, rec: &dyn Recorder) -> RunResult {
-        let res = self.run_inner(cheat, seed, rec);
-        trace_stats(rec, "path-outerplanarity", &res.stats);
-        res
-    }
-
-    fn run_inner(&self, cheat: Option<PopCheat>, seed: u64, rec: &dyn Recorder) -> RunResult {
+    pub fn run(&self, cheat: Option<PopCheat>, seed: u64, rec: &dyn Recorder) -> RunResult {
         let g = self.g();
         let n = g.n();
         let mut rng = SmallRng::seed_from_u64(seed);
@@ -167,7 +156,7 @@ impl<'a> PathOuterplanarity<'a> {
                 "pop: committed path uses a non-edge or unknown node",
             );
             stats.per_round_max_bits = vec![1, 0, 0];
-            return rej.into_result(stats);
+            return rej.into_result(stats).traced(rec, "path-outerplanarity");
         }
         let forest = RootedForest::from_parents(g, parent);
         let code = ForestCode::encode_traced(g, &forest, rec);
@@ -226,7 +215,7 @@ impl<'a> PathOuterplanarity<'a> {
         if !truly_hamiltonian {
             stats.per_round_max_bits = vec![code.label_bits() + 1, st.msg_bits(), 0];
             stats.coin_bits = n * st.coin_bits();
-            return rej.into_result(stats);
+            return rej.into_result(stats).traced(rec, "path-outerplanarity");
         }
         drop(commit_watch);
         drop(stage1);
@@ -263,7 +252,7 @@ impl<'a> PathOuterplanarity<'a> {
             self.transport,
         );
         drop(orient_watch);
-        let lr_res = lr.run_with(lr_cheat, rng.gen(), rec);
+        let lr_res = lr.run(lr_cheat, rng.gen(), rec);
         stats.merge_parallel(&lr_res.stats);
         for ((v, reason), kind) in lr_res.rejections.into_iter().zip(lr_res.kinds) {
             rej.reject_as(v, kind, format!("pop/lr: {reason}"));
@@ -346,7 +335,7 @@ impl<'a> PathOuterplanarity<'a> {
         };
         stats.merge_parallel(&own);
         let _ = &labels;
-        rej.into_result(stats)
+        rej.into_result(stats).traced(rec, "path-outerplanarity")
     }
 }
 
@@ -442,10 +431,6 @@ impl DipProtocol for PathOuterplanarity<'_> {
         self.inst.is_yes
     }
 
-    fn run_honest(&self, seed: u64) -> RunResult {
-        self.run(None, seed)
-    }
-
     fn cheat_names(&self) -> Vec<String> {
         vec![
             "fake-path".into(),
@@ -455,16 +440,12 @@ impl DipProtocol for PathOuterplanarity<'_> {
         ]
     }
 
-    fn run_cheat(&self, strategy: usize, seed: u64) -> RunResult {
-        self.run(Some(POP_CHEATS[strategy]), seed)
-    }
-
     fn run_honest_traced(&self, seed: u64, rec: &dyn Recorder) -> RunResult {
-        self.run_with(None, seed, rec)
+        self.run(None, seed, rec)
     }
 
     fn run_cheat_traced(&self, strategy: usize, seed: u64, rec: &dyn Recorder) -> RunResult {
-        self.run_with(Some(POP_CHEATS[strategy]), seed, rec)
+        self.run(Some(POP_CHEATS[strategy]), seed, rec)
     }
 }
 
@@ -474,6 +455,7 @@ mod tests {
     use super::*;
     use pdip_graph::gen::no_instances::outerplanar_no_hamiltonian_path;
     use pdip_graph::gen::outerplanar::{fan_path_outerplanar, random_path_outerplanar};
+    use pdip_obs::NoopRecorder;
 
     fn yes_instance(n: usize, seed: u64) -> PopInstance {
         let mut rng = SmallRng::seed_from_u64(seed);
@@ -522,7 +504,7 @@ mod tests {
         let p = PathOuterplanarity::new(&inst, PopParams::default(), Transport::Native);
         let mut accepted = 0;
         for seed in 0..100 {
-            if p.run(Some(PopCheat::FakePath), seed).accepted() {
+            if p.run(Some(PopCheat::FakePath), seed, &NoopRecorder).accepted() {
                 accepted += 1;
             }
         }
@@ -552,7 +534,7 @@ mod tests {
         for (ci, cheat) in POP_CHEATS.iter().enumerate().skip(1) {
             let mut accepted = 0;
             for seed in 0..100 {
-                if p.run(Some(*cheat), seed).accepted() {
+                if p.run(Some(*cheat), seed, &NoopRecorder).accepted() {
                     accepted += 1;
                 }
             }

@@ -13,9 +13,9 @@
 use crate::embedded_planarity::{EmbCheat, EmbInstance, EmbeddedPlanarity};
 use crate::lr_sorting::Transport;
 use crate::path_outerplanar::PopParams;
-use pdip_core::{bits_for_domain, trace_stats, DipProtocol, Rejections, RunResult};
+use pdip_core::{bits_for_domain, DipProtocol, Rejections, RunResult};
 use pdip_graph::{Graph, RotationSystem};
-use pdip_obs::{counter, span, NoopRecorder, Recorder, SpanId, Stopwatch};
+use pdip_obs::{counter, span, Recorder, SpanId, Stopwatch};
 
 /// A planarity instance: graph plus (for yes-instances) a witness
 /// embedding.
@@ -59,16 +59,11 @@ impl<'a> Planarity<'a> {
         Planarity { inst, params, transport }
     }
 
-    /// One full run.
-    pub fn run(&self, cheat: Option<PlCheat>, seed: u64) -> RunResult {
-        self.run_with(cheat, seed, &NoopRecorder)
-    }
-
-    /// [`Planarity::run`] with an instrumentation [`Recorder`]: a rotation
+    /// One full run with an instrumentation [`Recorder`]: a rotation
     /// span with a `delta_bits` counter, the inner Theorem 1.4 trace, and
-    /// per-round bit counters ([`trace_stats`]). With a disabled recorder
-    /// this is the same run.
-    pub fn run_with(&self, cheat: Option<PlCheat>, seed: u64, rec: &dyn Recorder) -> RunResult {
+    /// per-round bit counters ([`pdip_core::trace_stats`]). With a
+    /// disabled recorder this is the same run.
+    pub fn run(&self, cheat: Option<PlCheat>, seed: u64, rec: &dyn Recorder) -> RunResult {
         let g = &self.inst.graph;
         let mut rej = Rejections::new();
         // The prover's rotation system.
@@ -99,7 +94,7 @@ impl<'a> Planarity<'a> {
             Some(PlCheat::PortOrderFakeTree) => Some(EmbCheat::FakeTree),
             None => None,
         };
-        let res = emb.run_with(sub_cheat, seed, rec);
+        let res = emb.run(sub_cheat, seed, rec);
         let mut stats = res.stats.clone();
         // The Δ-dependent overhead: the pair (ρ_u(e), ρ_v(e)) on each edge
         // rides round 1.
@@ -114,8 +109,7 @@ impl<'a> Planarity<'a> {
         for ((v, reason), kind) in res.rejections.into_iter().zip(res.kinds) {
             rej.reject_as(v, kind, reason);
         }
-        trace_stats(rec, "planarity", &stats);
-        rej.into_result(stats)
+        rej.into_result(stats).traced(rec, "planarity")
     }
 }
 
@@ -136,10 +130,6 @@ impl DipProtocol for Planarity<'_> {
         self.inst.is_yes
     }
 
-    fn run_honest(&self, seed: u64) -> RunResult {
-        self.run(None, seed)
-    }
-
     fn cheat_names(&self) -> Vec<String> {
         vec![
             "port-order+honest-sweep".into(),
@@ -148,16 +138,12 @@ impl DipProtocol for Planarity<'_> {
         ]
     }
 
-    fn run_cheat(&self, strategy: usize, seed: u64) -> RunResult {
-        self.run(Some(PL_CHEATS[strategy]), seed)
-    }
-
     fn run_honest_traced(&self, seed: u64, rec: &dyn Recorder) -> RunResult {
-        self.run_with(None, seed, rec)
+        self.run(None, seed, rec)
     }
 
     fn run_cheat_traced(&self, strategy: usize, seed: u64, rec: &dyn Recorder) -> RunResult {
-        self.run_with(Some(PL_CHEATS[strategy]), seed, rec)
+        self.run(Some(PL_CHEATS[strategy]), seed, rec)
     }
 }
 
@@ -166,6 +152,7 @@ mod tests {
     use super::*;
     use pdip_graph::gen::no_instances::nonplanar_with_gadget;
     use pdip_graph::gen::planar::{random_planar, triangulation_with_degree};
+    use pdip_obs::NoopRecorder;
     use rand::rngs::SmallRng;
     use rand::SeedableRng;
 
@@ -192,7 +179,7 @@ mod tests {
                 let g = nonplanar_with_gadget(15, 1, seed % 2 == 0, &mut rng);
                 let inst = PlInstance { graph: g, witness_rho: None, is_yes: false };
                 let p = Planarity::new(&inst, PopParams::default(), Transport::Native);
-                if p.run(Some(cheat), seed).accepted() {
+                if p.run(Some(cheat), seed, &NoopRecorder).accepted() {
                     accepted += 1;
                 }
             }

@@ -18,6 +18,7 @@ use crate::nesting::{self, NestingLabels};
 use pdip_core::{bits_for_max, DipProtocol, Rejections, RunResult, SizeStats, Tag};
 use pdip_graph::gen::lr::LrInstance;
 use pdip_graph::{Graph, NodeId, RootedForest, RotationSystem};
+use pdip_obs::Recorder;
 
 /// The PLS label set for path-outerplanarity: positions plus the
 /// deterministic nesting labels.
@@ -170,7 +171,7 @@ impl DipProtocol for PlsPathOuterplanar<'_> {
         self.is_yes
     }
 
-    fn run_honest(&self, _seed: u64) -> RunResult {
+    fn run_honest_traced(&self, _seed: u64, _rec: &dyn Recorder) -> RunResult {
         self.run()
     }
 
@@ -178,7 +179,7 @@ impl DipProtocol for PlsPathOuterplanar<'_> {
         vec!["honest-sweep".into()]
     }
 
-    fn run_cheat(&self, _strategy: usize, _seed: u64) -> RunResult {
+    fn run_cheat_traced(&self, _strategy: usize, _seed: u64, _rec: &dyn Recorder) -> RunResult {
         // The scheme is deterministic: the best sweep-based cheat is the
         // honest labeling itself.
         self.run()

@@ -25,10 +25,10 @@
 use crate::lr_sorting::Transport;
 use crate::path_outerplanar::{PathOuterplanarity, PopCheat, PopInstance, PopParams};
 use crate::spanning_tree::{SpanningTreeVerification, StParams};
-use pdip_core::{trace_stats, DipProtocol, Rejections, RunResult, SizeStats, Tag};
+use pdip_core::{DipProtocol, Rejections, RunResult, SizeStats, Tag};
 use pdip_graph::ear::EarDecomposition;
 use pdip_graph::{Graph, NodeId, RootedForest};
-use pdip_obs::{span, NoopRecorder, Recorder, SpanId};
+use pdip_obs::{span, Recorder, SpanId};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
@@ -137,29 +137,18 @@ impl<'a> SeriesParallel<'a> {
         }
     }
 
-    /// One full run.
-    pub fn run(&self, cheat: Option<SpaCheat>, seed: u64) -> RunResult {
-        self.run_with(cheat, seed, &NoopRecorder)
-    }
-
-    /// [`SeriesParallel::run`] with an instrumentation [`Recorder`]: stage
-    /// spans, the Theorem 1.2 sub-run traces per host ear, and per-round
-    /// bit counters ([`trace_stats`]). With a disabled recorder this is
-    /// the same run.
-    pub fn run_with(&self, cheat: Option<SpaCheat>, seed: u64, rec: &dyn Recorder) -> RunResult {
-        let res = self.run_inner(cheat, seed, rec);
-        trace_stats(rec, "series-parallel", &res.stats);
-        res
-    }
-
-    fn run_inner(&self, cheat: Option<SpaCheat>, seed: u64, rec: &dyn Recorder) -> RunResult {
+    /// One full run with an instrumentation [`Recorder`]: stage spans,
+    /// the Theorem 1.2 sub-run traces per host ear, and per-round bit
+    /// counters ([`pdip_core::trace_stats`]). With a disabled recorder
+    /// this is the same run.
+    pub fn run(&self, cheat: Option<SpaCheat>, seed: u64, rec: &dyn Recorder) -> RunResult {
         let g = self.g();
         let n = g.n();
         let mut rng = SmallRng::seed_from_u64(seed);
         let mut rej = Rejections::new();
         let mut stats = SizeStats { rounds: 5, ..Default::default() };
         if n <= 2 || g.m() == 0 {
-            return rej.into_result(stats);
+            return rej.into_result(stats).traced(rec, "series-parallel");
         }
         let stage1 = span(rec, 0, SpanId::at("series-parallel/stage", 1));
         let com = self.commitment(cheat);
@@ -208,7 +197,7 @@ impl<'a> SeriesParallel<'a> {
             // coverage checks (a node outside every sub-ear sees no
             // consistent forest code).
             rej.reject_malformed(0, "spa: committed sub-ears do not partition the nodes");
-            return rej.into_result(stats);
+            return rej.into_result(stats).traced(rec, "series-parallel");
         }
         let forest = RootedForest::from_parents(g, parent);
         // Degree-≤-2-in-F is structural for the honest commitment; the
@@ -415,7 +404,7 @@ impl<'a> SeriesParallel<'a> {
             let pop_inst = PopInstance { graph: flat, witness: Some(witness), is_yes };
             let sub = PathOuterplanarity::new(&pop_inst, self.params, self.transport);
             let sub_cheat = if is_yes { None } else { Some(PopCheat::NestingForceMark) };
-            let res = sub.run_with(sub_cheat, rng.gen(), rec);
+            let res = sub.run(sub_cheat, rng.gen(), rec);
             for (k, b) in res.stats.per_round_max_bits.iter().enumerate() {
                 per_round_max[k] = per_round_max[k].max(*b);
             }
@@ -437,7 +426,7 @@ impl<'a> SeriesParallel<'a> {
         };
         stats.merge_parallel(&own);
         let _ = forest;
-        rej.into_result(stats)
+        rej.into_result(stats).traced(rec, "series-parallel")
     }
 }
 
@@ -497,24 +486,16 @@ impl DipProtocol for SeriesParallel<'_> {
         self.inst.is_yes
     }
 
-    fn run_honest(&self, seed: u64) -> RunResult {
-        self.run(None, seed)
-    }
-
     fn cheat_names(&self) -> Vec<String> {
         vec!["hide-extra-edges".into(), "fake-forest".into()]
     }
 
-    fn run_cheat(&self, strategy: usize, seed: u64) -> RunResult {
-        self.run(Some(SPA_CHEATS[strategy]), seed)
-    }
-
     fn run_honest_traced(&self, seed: u64, rec: &dyn Recorder) -> RunResult {
-        self.run_with(None, seed, rec)
+        self.run(None, seed, rec)
     }
 
     fn run_cheat_traced(&self, strategy: usize, seed: u64, rec: &dyn Recorder) -> RunResult {
-        self.run_with(Some(SPA_CHEATS[strategy]), seed, rec)
+        self.run(Some(SPA_CHEATS[strategy]), seed, rec)
     }
 }
 
@@ -524,6 +505,7 @@ mod tests {
     use super::*;
     use pdip_graph::gen::no_instances::tw2_violator;
     use pdip_graph::gen::sp::random_series_parallel;
+    use pdip_obs::NoopRecorder;
 
     #[test]
     fn perfect_completeness() {
@@ -548,7 +530,7 @@ mod tests {
                 let g = tw2_violator(2, 1, &mut rng);
                 let inst = SpaInstance { graph: g, is_yes: false };
                 let p = SeriesParallel::new(&inst, PopParams::default(), Transport::Native);
-                if p.run(Some(cheat), seed).accepted() {
+                if p.run(Some(cheat), seed, &NoopRecorder).accepted() {
                     accepted += 1;
                 }
             }
@@ -563,7 +545,7 @@ mod tests {
         let p = SeriesParallel::new(&inst, PopParams::default(), Transport::Native);
         let mut accepted = 0;
         for seed in 0..60 {
-            if p.run(Some(SpaCheat::HideExtraEdges), seed).accepted() {
+            if p.run(Some(SpaCheat::HideExtraEdges), seed, &NoopRecorder).accepted() {
                 accepted += 1;
             }
         }

@@ -27,6 +27,7 @@ use pdip_core::par::{chunk_ranges, map_chunks_with};
 use pdip_core::{Rejections, RunResult, SizeStats};
 use pdip_graph::seed::job_seed;
 use pdip_graph::{BiconnectedComponents, EdgeId, Graph, NodeId, RotationSystem};
+use pdip_obs::NoopRecorder;
 
 /// One block of the decomposition, as a self-contained planarity instance
 /// with the bookkeeping to map local ids back to the global graph.
@@ -160,16 +161,22 @@ impl ShardPlan {
         let k = self.shards.len();
         let grain = k.div_ceil(groups.max(1)).max(1);
         debug_assert_eq!(chunk_ranges(k, grain).count(), k.div_ceil(grain));
-        let partials = map_chunks_with(workers, k, grain, |range| {
-            let mut part = ShardCombiner::new();
-            for i in range {
-                let shard = &self.shards[i];
-                let p = Planarity::new(&shard.inst, params, transport);
-                let res = p.run(cheat, job_seed(seed, i as u64));
-                part.absorb_block(|v| shard.globals[v], res);
-            }
-            part
-        });
+        let partials = map_chunks_with(
+            workers,
+            k,
+            grain,
+            || (),
+            |(), range| {
+                let mut part = ShardCombiner::new();
+                for i in range {
+                    let shard = &self.shards[i];
+                    let p = Planarity::new(&shard.inst, params, transport);
+                    let res = p.run(cheat, job_seed(seed, i as u64), &NoopRecorder);
+                    part.absorb_block(|v| shard.globals[v], res);
+                }
+                part
+            },
+        );
         let mut combined = ShardCombiner::new();
         for part in partials {
             combined.absorb_partial(part);
@@ -336,7 +343,7 @@ mod tests {
             let inst =
                 PlInstance { graph: shard.graph, witness_rho: shard.rho, is_yes: shard.planar };
             let p = Planarity::new(&inst, PopParams::default(), Transport::Native);
-            let res = p.run(None, job_seed(7, i as u64));
+            let res = p.run(None, job_seed(7, i as u64), &NoopRecorder);
             combiner.absorb_block(|v| skel.to_global(i, v), res);
         }
         assert_eq!(combiner.blocks(), skel.shard_count());

@@ -12,9 +12,9 @@ use crate::lr_sorting::Transport;
 use crate::path_outerplanar::PopParams;
 use crate::series_parallel::{SeriesParallel, SpaCheat, SpaInstance};
 use crate::spanning_tree::{SpanningTreeVerification, StParams};
-use pdip_core::{trace_stats, DipProtocol, Rejections, RunResult, SizeStats, Tag};
+use pdip_core::{DipProtocol, Rejections, RunResult, SizeStats, Tag};
 use pdip_graph::{BlockCutTree, Graph, RootedForest};
-use pdip_obs::{span, NoopRecorder, Recorder, SpanId};
+use pdip_obs::{span, Recorder, SpanId};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
@@ -61,29 +61,18 @@ impl<'a> Treewidth2<'a> {
         &self.inst.graph
     }
 
-    /// One full run.
-    pub fn run(&self, cheat: Option<Tw2Cheat>, seed: u64) -> RunResult {
-        self.run_with(cheat, seed, &NoopRecorder)
-    }
-
-    /// [`Treewidth2::run`] with an instrumentation [`Recorder`]: stage
-    /// spans, Lemma 2.5 primitive spans, the Theorem 1.6 sub-run traces
-    /// per block, and per-round bit counters ([`trace_stats`]). With a
-    /// disabled recorder this is the same run.
-    pub fn run_with(&self, cheat: Option<Tw2Cheat>, seed: u64, rec: &dyn Recorder) -> RunResult {
-        let res = self.run_inner(cheat, seed, rec);
-        trace_stats(rec, "treewidth-2", &res.stats);
-        res
-    }
-
-    fn run_inner(&self, cheat: Option<Tw2Cheat>, seed: u64, rec: &dyn Recorder) -> RunResult {
+    /// One full run with an instrumentation [`Recorder`]: stage spans,
+    /// Lemma 2.5 primitive spans, the Theorem 1.6 sub-run traces per
+    /// block, and per-round bit counters ([`pdip_core::trace_stats`]).
+    /// With a disabled recorder this is the same run.
+    pub fn run(&self, cheat: Option<Tw2Cheat>, seed: u64, rec: &dyn Recorder) -> RunResult {
         let g = self.g();
         let n = g.n();
         let mut rng = SmallRng::seed_from_u64(seed);
         let mut rej = Rejections::new();
         let mut stats = SizeStats { rounds: 5, ..Default::default() };
         if n <= 2 || g.m() == 0 {
-            return rej.into_result(stats);
+            return rej.into_result(stats).traced(rec, "treewidth-2");
         }
 
         // ---- Block-cut commitment: spanning tree + block tags ----
@@ -179,7 +168,7 @@ impl<'a> Treewidth2<'a> {
                     _ => SpaCheat::HideExtraEdges,
                 })
             };
-            let res = sub.run_with(sub_cheat, rng.gen(), rec);
+            let res = sub.run(sub_cheat, rng.gen(), rec);
             for (i, b) in res.stats.per_round_max_bits.iter().enumerate() {
                 per_round_max[i] = per_round_max[i].max(*b);
             }
@@ -203,7 +192,7 @@ impl<'a> Treewidth2<'a> {
             rounds: 5,
         };
         stats.merge_parallel(&own);
-        rej.into_result(stats)
+        rej.into_result(stats).traced(rec, "treewidth-2")
     }
 }
 
@@ -224,24 +213,16 @@ impl DipProtocol for Treewidth2<'_> {
         self.inst.is_yes
     }
 
-    fn run_honest(&self, seed: u64) -> RunResult {
-        self.run(None, seed)
-    }
-
     fn cheat_names(&self) -> Vec<String> {
         vec!["block-hide-extra-edges".into(), "block-fake-forest".into()]
     }
 
-    fn run_cheat(&self, strategy: usize, seed: u64) -> RunResult {
-        self.run(Some(TW2_CHEATS[strategy]), seed)
-    }
-
     fn run_honest_traced(&self, seed: u64, rec: &dyn Recorder) -> RunResult {
-        self.run_with(None, seed, rec)
+        self.run(None, seed, rec)
     }
 
     fn run_cheat_traced(&self, strategy: usize, seed: u64, rec: &dyn Recorder) -> RunResult {
-        self.run_with(Some(TW2_CHEATS[strategy]), seed, rec)
+        self.run(Some(TW2_CHEATS[strategy]), seed, rec)
     }
 }
 
@@ -250,6 +231,7 @@ mod tests {
     use super::*;
     use pdip_graph::gen::no_instances::tw2_violator;
     use pdip_graph::gen::sp::random_treewidth2;
+    use pdip_obs::NoopRecorder;
 
     #[test]
     fn perfect_completeness() {
@@ -274,7 +256,7 @@ mod tests {
                 let g = tw2_violator(3, 1, &mut rng);
                 let inst = Tw2Instance { graph: g, is_yes: false };
                 let p = Treewidth2::new(&inst, PopParams::default(), Transport::Native);
-                if p.run(Some(cheat), seed).accepted() {
+                if p.run(Some(cheat), seed, &NoopRecorder).accepted() {
                     accepted += 1;
                 }
             }

@@ -23,6 +23,7 @@
 use pdip_core::RunResult;
 use pdip_graph::gen::planar::random_planar;
 use pdip_graph::Graph;
+use pdip_obs::NoopRecorder;
 use pdip_protocols::lr_sorting::Transport;
 use pdip_protocols::path_outerplanar::PopParams;
 use pdip_protocols::planarity::{PlInstance, Planarity, PL_CHEATS};
@@ -115,7 +116,8 @@ proptest! {
         let inst = PlInstance { graph: gen.graph, witness_rho: Some(gen.rho), is_yes: true };
         let params = PopParams::default();
 
-        let mono = Planarity::new(&inst, params, Transport::Native).run(None, run_seed);
+        let mono = Planarity::new(&inst, params, Transport::Native);
+        let mono = mono.run(None, run_seed, &NoopRecorder);
         prop_assert!(mono.accepted(), "monolithic completeness: {:?}", mono.rejections.first());
 
         let plan = ShardPlan::decompose(&inst);
@@ -156,8 +158,8 @@ proptest! {
         for k in 0..8u64 {
             let seed = seed0.wrapping_add(k);
             if !mono_rejected {
-                mono_rejected =
-                    !Planarity::new(&inst, params, Transport::Native).run(None, seed).accepted();
+                let mono = Planarity::new(&inst, params, Transport::Native);
+                mono_rejected = !mono.run(None, seed, &NoopRecorder).accepted();
             }
             let base = plan.run_grouped(1, 1, params, Transport::Native, None, seed);
             for groups in GROUPS {

@@ -12,6 +12,7 @@
 //! cargo run --example figure1_anatomy
 //! ```
 
+use pdip_obs::NoopRecorder;
 use planarity_dip::dip::Tag;
 use planarity_dip::graph::Graph;
 use planarity_dip::protocols::nesting;
@@ -69,7 +70,7 @@ fn main() {
     // And the full 5-round protocol accepts the instance.
     let inst = PopInstance { graph: g, witness: Some(path), is_yes: true };
     let proto = PathOuterplanarity::new(&inst, PopParams::default(), Transport::Native);
-    let res = proto.run(None, 7);
+    let res = proto.run(None, 7, &NoopRecorder);
     println!(
         "Theorem 1.2 protocol: verdict = {}, proof size = {} bits over {} rounds.",
         if res.accepted() { "accept" } else { "reject" },

@@ -7,8 +7,9 @@
 //! cargo run --example lr_walkthrough
 //! ```
 
+use pdip_obs::NoopRecorder;
 use planarity_dip::graph::gen::lr::random_lr_yes;
-use planarity_dip::protocols::{LrParams, LrSorting, Transport};
+use planarity_dip::protocols::{LrCheat, LrParams, LrSorting, Transport};
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 
@@ -31,7 +32,7 @@ fn main() {
     println!("path order (node ids left to right):");
     println!("  {:?}\n", inst.path);
 
-    let res = lr.run(None, 77);
+    let res = lr.run(None, 77, &NoopRecorder);
     println!("honest run: accepted = {}", res.accepted());
     println!("prover rounds (P1, P2, P3) max label bits: {:?}", res.stats.per_round_max_bits);
     println!("proof size (longest label): {} bits", res.stats.proof_size());
@@ -59,7 +60,7 @@ fn main() {
     let mut rejected = 0;
     let trials = 50;
     for seed in 0..trials {
-        if !lr_bad.run(Some(planarity_dip::protocols::LrCheat::OuterForgedIndex), seed).accepted() {
+        if !lr_bad.run(Some(LrCheat::OuterForgedIndex), seed, &NoopRecorder).accepted() {
             rejected += 1;
         }
     }

@@ -54,7 +54,8 @@ use pdip_bench::{no_instance, Family, YesInstance, FAMILIES};
 /// untracked — only this binary pays the (two relaxed atomics) cost.
 #[global_allocator]
 static ALLOC: pdip_obs::PeakAlloc = pdip_obs::PeakAlloc::new();
-use pdip_engine::{Engine, ProverSpec, Reporter, ServeConfig, SweepSpec};
+use pdip_engine::{Engine, Prover, ProverSpec, Reporter, SeedMode, ServeConfig, SweepSpec};
+use pdip_obs::NoopRecorder;
 use planarity_dip::dip::DipProtocol;
 use planarity_dip::protocols::{Amplified, PopParams, Transport};
 use planarity_dip::wire::{Transcript, VerifyOutcome, WireInstance};
@@ -112,8 +113,22 @@ fn flag_value(args: &[String], name: &str) -> Option<String> {
     args.iter().position(|a| a == name).and_then(|i| args.get(i + 1).cloned())
 }
 
+/// Parses `flag`'s value as a non-negative integer; anything else is a
+/// usage error naming the flag.
+fn parse_num<T: std::str::FromStr>(flag: &str, value: &str) -> T {
+    value.parse().unwrap_or_else(|_| {
+        eprintln!("{flag} takes a non-negative integer, got '{value}'");
+        usage()
+    })
+}
+
 fn flag_num(args: &[String], name: &str, default: usize) -> usize {
-    flag_value(args, name).map(|v| v.parse().expect("numeric flag")).unwrap_or(default)
+    flag_value(args, name).map(|v| parse_num(name, &v)).unwrap_or(default)
+}
+
+/// A `--*-ms` flag as a duration, if given.
+fn flag_ms(args: &[String], name: &str) -> Option<std::time::Duration> {
+    flag_value(args, name).map(|v| std::time::Duration::from_millis(parse_num(name, &v)))
 }
 
 /// Writes one output artifact, creating its parent directory first.
@@ -238,24 +253,38 @@ fn main() {
             let fam = parse_family(args.get(1).map(String::as_str).unwrap_or_else(|| usage()));
             let n = flag_num(&args, "--n", 300);
             let trials = flag_num(&args, "--trials", 60) as u64;
-            let probe = no_instance(fam, n, 0);
-            let cheats =
-                probe.with_protocol(PopParams::default(), Transport::Native, |p| p.cheat_names());
-            for (s, name) in cheats.iter().enumerate() {
-                let mut accepted = 0u64;
-                for t in 0..trials {
-                    let inst = no_instance(fam, n, t * 101 + 1);
-                    inst.with_protocol(PopParams::default(), Transport::Native, |p| {
-                        if p.run_cheat(s, t).accepted() {
-                            accepted += 1;
-                        }
-                    });
-                }
+            if trials == 0 {
+                eprintln!("--trials must be at least 1");
+                usage()
+            }
+            // Trial t runs every cheat on no-instance seed t·101 + 1 with
+            // run seed t.
+            let spec = SweepSpec {
+                families: vec![fam],
+                sizes: vec![n],
+                provers: vec![ProverSpec::AllCheats],
+                trials,
+                seeds: SeedMode::Explicit(|c| (c.trial * 101 + 1, c.trial)),
+                ..SweepSpec::default()
+            };
+            let outcome = Engine::default().run(&spec, &NoopRecorder);
+            for (s, name) in fam.cheat_names().iter().enumerate() {
+                let accepted = outcome
+                    .records
+                    .iter()
+                    .filter(|r| r.prover == Prover::Cheat(s) && r.accepted)
+                    .count();
                 println!(
                     "{:<28} accepted {accepted}/{trials} ({:.1}%)",
                     name,
                     100.0 * accepted as f64 / trials as f64
                 );
+            }
+            for f in &outcome.failures {
+                eprintln!("quarantined: {} trial={}: {}", f.prover.tag(), f.trial, f.payload);
+            }
+            if !outcome.failures.is_empty() {
+                std::process::exit(1);
             }
         }
         "sweep" => {
@@ -301,7 +330,7 @@ fn main() {
                 spec.sizes.len(),
                 threads
             ));
-            let outcome = Engine::with_threads(threads).run(&spec);
+            let outcome = Engine::with_threads(threads).run(&spec, &NoopRecorder);
             rep.table(&pdip_engine::SweepOutcome::aggregate_headers(), &outcome.aggregate_rows());
             if !outcome.failures.is_empty() {
                 rep.line("\nquarantined jobs:");
@@ -361,8 +390,7 @@ fn main() {
             // Pass --workers 1 to reproduce single-thread timings.
             match flag_value(&args, "--workers") {
                 Some(w) => {
-                    let w: usize = w.parse().expect("--workers takes a positive integer");
-                    pdip_core::par::set_intra_workers(w.max(1));
+                    pdip_core::par::set_intra_workers(parse_num::<usize>("--workers", &w).max(1));
                 }
                 None => pdip_core::par::set_intra_workers_auto(),
             }
@@ -582,14 +610,11 @@ fn main() {
                     std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1)
                 }),
                 queue_cap: flag_num(&args, "--queue", 256),
-                deadline: flag_value(&args, "--deadline-ms")
-                    .map(|v| std::time::Duration::from_millis(v.parse().expect("milliseconds"))),
+                deadline: flag_ms(&args, "--deadline-ms"),
                 max_frame_bytes,
-                read_deadline: flag_value(&args, "--read-deadline-ms")
-                    .map(|v| std::time::Duration::from_millis(v.parse().expect("milliseconds")))
+                read_deadline: flag_ms(&args, "--read-deadline-ms")
                     .or(ServeConfig::default().read_deadline),
-                drain_deadline: flag_value(&args, "--drain-deadline-ms")
-                    .map(|v| std::time::Duration::from_millis(v.parse().expect("milliseconds")))
+                drain_deadline: flag_ms(&args, "--drain-deadline-ms")
                     .unwrap_or(ServeConfig::default().drain_deadline),
                 // A shared obs bridge so the flight ring survives the
                 // server and can land on disk at drain or panic.
@@ -616,7 +641,6 @@ fn main() {
                     &cfg,
                     &mut std::io::stdin().lock(),
                     &mut std::io::stdout().lock(),
-                    &pdip_obs::NoopRecorder,
                 )
                 .expect("serving stdin stream");
                 eprintln!(
@@ -633,14 +657,8 @@ fn main() {
                 let mut rep = Reporter::from_quiet_flag(false);
                 let shutdown = pdip_engine::ShutdownFlag::new();
                 install_signal_drain(&shutdown);
-                let stats = pdip_engine::serve_tcp(
-                    &cfg,
-                    port,
-                    &shutdown,
-                    &mut rep,
-                    &pdip_obs::NoopRecorder,
-                )
-                .expect("serving tcp");
+                let stats =
+                    pdip_engine::serve_tcp(&cfg, port, &shutdown, &mut rep).expect("serving tcp");
                 eprintln!(
                     "served: accept={} reject={} malformed={} busy={} deadline={} panics={} \
                      conn_faults={} connections={}",

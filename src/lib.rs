@@ -10,13 +10,14 @@
 //! ```
 //! use planarity_dip::protocols::{PathOuterplanarity, PopInstance, PopParams, Transport};
 //! use planarity_dip::graph::gen::outerplanar::random_path_outerplanar;
+//! use pdip_obs::NoopRecorder;
 //! use rand::{rngs::SmallRng, SeedableRng};
 //!
 //! let mut rng = SmallRng::seed_from_u64(1);
 //! let gen = random_path_outerplanar(64, 0.6, &mut rng);
 //! let inst = PopInstance { graph: gen.graph, witness: Some(gen.path), is_yes: true };
 //! let proto = PathOuterplanarity::new(&inst, PopParams::default(), Transport::Native);
-//! let run = proto.run(None, 7);
+//! let run = proto.run(None, 7, &NoopRecorder);
 //! assert!(run.accepted());
 //! assert_eq!(run.stats.rounds, 5);
 //! ```

@@ -66,6 +66,27 @@ fn run_rejects_out_of_range_cheat_and_zero_repeat() {
 }
 
 #[test]
+fn malformed_numeric_flags_are_usage_errors_naming_the_flag() {
+    for (args, flag) in [
+        (&["run", "planarity", "--n", "abc"][..], "--n"),
+        (&["run", "planarity", "--seed", "-1"], "--seed"),
+        (&["sweep", "--trials", "x"], "--trials"),
+        (&["serve", "--stdin", "--deadline-ms", "abc"], "--deadline-ms"),
+        (&["client", "--port", "notaport", "x"], "--port"),
+        (&["bench-round", "--smoke", "--workers", "two"], "--workers"),
+    ] {
+        let err = usage_error(args);
+        assert!(err.contains(&format!("{flag} takes a non-negative integer")), "{args:?}: {err}");
+    }
+}
+
+#[test]
+fn soundness_rejects_zero_trials() {
+    let err = usage_error(&["soundness", "planarity", "--trials", "0"]);
+    assert!(err.contains("--trials must be at least 1"), "{err}");
+}
+
+#[test]
 fn prove_rejects_out_of_range_prover() {
     let dir = std::env::temp_dir().join(format!("pdip_cli_prover50_{}", std::process::id()));
     let out = dir.join("cheat.transcript");

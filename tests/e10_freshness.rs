@@ -19,7 +19,7 @@
 mod common;
 
 use common::field;
-use pdip_engine::{envelope_bits, execute_job_traced, Family, TraceSpec, WorkerScratch, FAMILIES};
+use pdip_engine::{envelope_bits, execute_job, Family, TraceSpec, WorkerScratch, FAMILIES};
 use pdip_obs::{CollectingRecorder, SpanId};
 
 fn committed_json() -> String {
@@ -136,7 +136,7 @@ fn smallest_cell_replays_to_committed_bits() {
     let mut proof = 0u64;
     let mut coins = 0u64;
     for job in &jobs {
-        let r = execute_job_traced(&sweep, job, &mut scratch, &rec).expect("job quarantined");
+        let r = execute_job(&sweep, job, &mut scratch, &rec).expect("job quarantined");
         assert!(r.accepted, "honest run rejected during replay");
         proof = proof.max(r.proof_size_bits as u64);
         coins = coins.max(r.coin_bits as u64);

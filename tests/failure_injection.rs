@@ -18,6 +18,7 @@
 use pdip_engine::chaos::{
     build_target, Determinism, MutatorKind, TamperOutcome, TargetId, MUTATORS,
 };
+use pdip_obs::NoopRecorder;
 use planarity_dip::dip::{LabelRound, Rejections, Tag};
 use planarity_dip::graph::gen;
 use planarity_dip::protocols::nesting::{self, NestingLabels};
@@ -230,7 +231,7 @@ fn full_protocol_rejects_random_orientation_flips() {
         let lr = LrSorting::new(&no, LrParams::default(), Transport::Native);
         let cheat = [LrCheat::ClaimInner, LrCheat::OuterTrueIndex, LrCheat::OuterForgedIndex]
             [rng.gen_range(0..3)];
-        if !lr.run(Some(cheat), t as u64).accepted() {
+        if !lr.run(Some(cheat), t as u64, &NoopRecorder).accepted() {
             rejected += 1;
         }
     }

@@ -1,6 +1,7 @@
 //! Property-based tests (proptest) over the substrate and the protocols'
 //! core invariants.
 
+use pdip_obs::NoopRecorder;
 use planarity_dip::dip::Rejections;
 use planarity_dip::field::{multiset_poly_eval, smallest_prime_above, Fp};
 use planarity_dip::graph::gen;
@@ -168,7 +169,7 @@ proptest! {
         let mut rng = SmallRng::seed_from_u64(seed);
         let inst = gen::lr::random_lr_yes(n, n / 3 + 1, true, &mut rng);
         let lr = LrSorting::new(&inst, LrParams::default(), Transport::Native);
-        let res = lr.run(None, seed ^ 0xABCD);
+        let res = lr.run(None, seed ^ 0xABCD, &NoopRecorder);
         prop_assert!(res.accepted(), "{:?}", res.rejections.first());
     }
 }

@@ -8,6 +8,7 @@
 //! if the snapshot drifts from the code that claims to produce it.
 
 use pdip_engine::{Engine, Family, JobCoords, Prover, ProverSpec, SeedMode, SweepSpec};
+use pdip_obs::NoopRecorder;
 
 /// The E3 seed formula (mirrors `e3_soundness.rs`): instance seeds from
 /// `trial * 31 + n`, run seeds from `trial` — independent of the grid
@@ -46,7 +47,7 @@ fn committed_e3_table_matches_rerun_of_smallest_cell() {
         seeds: SeedMode::Explicit(e3_seeds),
         ..SweepSpec::default()
     };
-    let outcome = Engine::with_threads(1).run(&spec);
+    let outcome = Engine::with_threads(1).run(&spec, &NoopRecorder);
     assert!(outcome.failures.is_empty(), "{:?}", outcome.failures);
 
     let cheat_names = Family::PathOuterplanar.cheat_names();
