@@ -128,6 +128,7 @@ pub fn run_client(
     // A response should never take longer than a minute; a stuck read
     // is a transport failure, not a hang.
     let _unused = stream.set_read_timeout(Some(Duration::from_secs(60)));
+    let _unused = stream.set_nodelay(true);
 
     let mut finals: Vec<Option<Response>> = vec![None; items.len()];
     let mut pending: Vec<usize> = (0..items.len()).collect();
@@ -271,6 +272,7 @@ pub fn fetch_stats(host: &str, port: u16, mode: u8) -> Result<String, String> {
     let mut stream =
         TcpStream::connect((host, port)).map_err(|e| format!("connect {host}:{port}: {e}"))?;
     let _unused = stream.set_read_timeout(Some(Duration::from_secs(30)));
+    let _unused = stream.set_nodelay(true);
     write_frame(&mut stream, &[REQ_STATS, mode])
         .and_then(|()| stream.flush())
         .map_err(|e| format!("send: {e}"))?;

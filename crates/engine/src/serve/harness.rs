@@ -22,10 +22,11 @@ use std::iter::repeat_n;
 use std::net::{Shutdown, TcpStream};
 use std::time::{Duration, Instant};
 
-/// Connects to a local server, with a read timeout so a wedged server
-/// fails the audit instead of hanging it.
+/// Connects to a local server with `TCP_NODELAY`, and with a read
+/// timeout so a wedged server fails the audit instead of hanging it.
 pub(crate) fn connect(port: u16) -> std::io::Result<TcpStream> {
     let s = TcpStream::connect(("127.0.0.1", port))?;
+    s.set_nodelay(true)?;
     s.set_read_timeout(Some(Duration::from_secs(10)))?;
     Ok(s)
 }

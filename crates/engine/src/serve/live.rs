@@ -19,8 +19,12 @@
 //! queue answers [`Status::Busy`] immediately (backpressure, never
 //! blocking the stream).
 //!
-//! * **TCP** ([`serve_concurrent`]): one accept loop, one reader thread
-//!   per socket; responses stream back as each request completes.
+//! * **TCP** ([`serve_concurrent`]): one blocking accept loop, one
+//!   reader thread per socket; responses stream back as each request
+//!   completes. Every accepted socket sets `TCP_NODELAY` and every
+//!   response is one `write_all` ([`write_frame`]), so no response
+//!   waits on Nagle or the peer's delayed ACK, and the reader hands the
+//!   request frame to the worker without copying it.
 //! * **Pipe** ([`serve_pipe`], `pdip serve --stdin`): one in-process
 //!   connection read on the calling thread; its responses are collected
 //!   and written sorted by seq once the stream ends.
@@ -42,16 +46,17 @@
 //! # Graceful drain
 //!
 //! A [`REQ_SHUTDOWN`] frame (or [`ShutdownFlag::request`], which the
-//! CLI wires to SIGTERM/SIGINT) stops the accept loop, read-shuts every
-//! open socket (unblocking readers without dropping data already
-//! queued), waits up to [`ServeConfig::drain_deadline`] for in-flight
-//! requests to finish, and sends a final [`Status::Stats`] frame
-//! (`seq = u64::MAX`) to the shutdown-requesting connection. Every
-//! request accepted into the queue is completed and answered even if
-//! the drain deadline expires — the deadline bounds only the wait for
-//! the stats frame, which then reports `drained=timeout`. A pipe stops
-//! reading at its shutdown frame and answers everything it queued, with
-//! no stats frame.
+//! CLI wires to SIGTERM/SIGINT) stops the accept loop (the request
+//! wakes the blocked `accept` with one connection to the listener),
+//! read-shuts every open socket (unblocking readers without dropping
+//! data already queued), waits up to [`ServeConfig::drain_deadline`]
+//! for in-flight requests to finish, and sends a final
+//! [`Status::Stats`] frame (`seq = u64::MAX`) to the
+//! shutdown-requesting connection. Every request accepted into the
+//! queue is completed and answered even if the drain deadline expires —
+//! the deadline bounds only the wait for the stats frame, which then
+//! reports `drained=timeout`. A pipe stops reading at its shutdown
+//! frame and answers everything it queued, with no stats frame.
 
 use super::{
     encode_response, fault_class, read_frame_deadline, verify_guarded, write_frame, Response,
@@ -61,7 +66,7 @@ use crate::pool::PanicSilencer;
 use crate::report::Reporter;
 use pdip_obs::{counter, Recorder, SpanId};
 use std::io::{Read, Write};
-use std::net::{Shutdown, TcpListener, TcpStream};
+use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::mpsc::{sync_channel, Receiver, SyncSender, TrySendError};
 use std::sync::{Arc, Mutex, Weak};
@@ -70,9 +75,18 @@ use std::time::{Duration, Instant};
 
 /// A cloneable shutdown request line: the CLI's signal handler, a
 /// [`REQ_SHUTDOWN`] frame, and [`ServerHandle::stop`] all pull the same
-/// flag, and the accept loop polls it.
+/// flag. The accept loop blocks in `accept`, so a request also wakes it
+/// with one connection to the listener it registered.
 #[derive(Debug, Clone, Default)]
-pub struct ShutdownFlag(Arc<AtomicBool>);
+pub struct ShutdownFlag(Arc<FlagState>);
+
+#[derive(Debug, Default)]
+struct FlagState {
+    requested: AtomicBool,
+    /// The listener whose blocking accept loop [`ShutdownFlag::request`]
+    /// wakes; `None` while no TCP front-end is running.
+    wake: Mutex<Option<SocketAddr>>,
+}
 
 impl ShutdownFlag {
     /// A fresh, unrequested flag.
@@ -80,14 +94,31 @@ impl ShutdownFlag {
         ShutdownFlag::default()
     }
 
-    /// Requests shutdown (idempotent).
+    /// Requests shutdown (idempotent), then wakes a blocked accept loop
+    /// with one best-effort connection to its listener.
     pub fn request(&self) {
-        self.0.store(true, Ordering::SeqCst);
+        // Set the flag before reading the wake address: a loop that
+        // registers after this read sees the flag before it blocks.
+        self.0.requested.store(true, Ordering::SeqCst);
+        let wake = self.0.wake.lock().map(|g| *g).unwrap_or(None);
+        if let Some(addr) = wake {
+            // The wake connection carries no bytes: being accepted is
+            // the whole signal.
+            let _unused = TcpStream::connect_timeout(&addr, Duration::from_secs(1));
+        }
     }
 
     /// Whether shutdown has been requested.
     pub fn requested(&self) -> bool {
-        self.0.load(Ordering::SeqCst)
+        self.0.requested.load(Ordering::SeqCst)
+    }
+
+    /// Sets (or, with `None`, clears) the listener [`Self::request`]
+    /// wakes.
+    fn wake_on(&self, addr: Option<SocketAddr>) {
+        if let Ok(mut g) = self.0.wake.lock() {
+            *g = addr;
+        }
     }
 }
 
@@ -206,11 +237,12 @@ impl Conn {
 }
 
 /// One queued verification request, tagged with its connection so the
-/// worker can answer it directly.
+/// worker can answer it directly. `frame` is the request frame as read
+/// (tag byte included); the worker verifies `frame[1..]`.
 struct ConnJob {
     conn: Arc<Conn>,
     seq: u64,
-    blob: Vec<u8>,
+    frame: Vec<u8>,
     enqueued: Instant,
 }
 
@@ -276,8 +308,13 @@ impl Pool<'_> {
             counters.queue_depth.fetch_sub(1, Ordering::SeqCst);
             let waited = job.enqueued.elapsed().as_nanos();
             obs.duration("serve/queue-wait", u64::try_from(waited).unwrap_or(u64::MAX));
-            let (status, detail) =
-                verify_guarded(&job.blob, cfg.panic_token, cfg.deadline, obs, &counters.panics);
+            let (status, detail) = verify_guarded(
+                &job.frame[1..],
+                cfg.panic_token,
+                cfg.deadline,
+                obs,
+                &counters.panics,
+            );
             counter(obs, job.seq, SpanId::new("serve/request"), status.name(), 1);
             counters.bump(status);
             if status == Status::Malformed && detail.starts_with("panic: ") {
@@ -353,7 +390,7 @@ impl Pool<'_> {
                     let job = ConnJob {
                         conn: Arc::clone(conn),
                         seq: this_seq,
-                        blob: frame[1..].to_vec(),
+                        frame,
                         enqueued: Instant::now(),
                     };
                     match jobs_tx.try_send(job) {
@@ -411,15 +448,21 @@ impl Pool<'_> {
         jobs_tx: SyncSender<ConnJob>,
     ) -> std::io::Result<()> {
         thread::scope(|s| {
-            // Non-blocking accept so the shutdown flag is polled even
-            // while idle. A fatal accept error falls through to the
+            // Blocking accept: the loop sleeps in the kernel until a
+            // peer connects or `ShutdownFlag::request` wakes it with a
+            // connection of its own, which is dropped unserved once the
+            // flag is seen. A fatal accept error falls through to the
             // drain; the queue disconnects only after every reader has
             // exited.
             let mut conns: Vec<Weak<Conn>> = Vec::new();
             let mut accept_err = None;
             while !self.shutdown.requested() {
                 match listener.accept() {
+                    Ok(_) if self.shutdown.requested() => break,
                     Ok((mut stream, _addr)) => {
+                        // Responses are single-write frames: send each
+                        // at once rather than behind the peer's ACK.
+                        let _unused = stream.set_nodelay(true);
                         let Ok(writer) = stream.try_clone() else {
                             self.counters.io_errors.fetch_add(1, Ordering::Relaxed);
                             continue;
@@ -435,9 +478,6 @@ impl Pool<'_> {
                             let _unused = stream.set_read_timeout(deadline);
                             self.read_connection(&mut stream, deadline, &conn, jobs_tx);
                         });
-                    }
-                    Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                        thread::sleep(Duration::from_millis(5));
                     }
                     Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
                     Err(e) => {
@@ -505,14 +545,18 @@ impl Pool<'_> {
 /// is requested (by a [`REQ_SHUTDOWN`] frame, a signal handler, or
 /// [`ServerHandle::stop`]), then drains gracefully. Returns the
 /// aggregate stats over the server's whole lifetime.
+///
+/// The listener must be in blocking mode (the default after `bind`):
+/// the accept loop blocks, and `shutdown` is registered to wake it.
 pub fn serve_concurrent(
     cfg: &ServeConfig,
     listener: TcpListener,
     shutdown: &ShutdownFlag,
 ) -> std::io::Result<ServeStats> {
-    listener.set_nonblocking(true)?;
+    shutdown.wake_on(Some(listener.local_addr()?));
     let (result, stats) =
         run_pool(cfg, shutdown, |pool, jobs_tx| pool.accept_and_drain(&listener, jobs_tx));
+    shutdown.wake_on(None);
     result.map(|()| stats)
 }
 

@@ -15,9 +15,10 @@ use pdip_protocols::{PopParams, Transport};
 use pdip_wire::WireInstance;
 use std::io::Write;
 use std::net::TcpStream;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 const REQ_VERIFY: u8 = 0x01;
+const REQ_PING: u8 = 0x02;
 const REQ_SHUTDOWN: u8 = 0x7f;
 
 fn honest_blob(seed: u64) -> Vec<u8> {
@@ -59,6 +60,15 @@ fn read_n(s: &mut TcpStream, n: usize) -> Vec<Response> {
     }
     out.sort_by_key(|r| r.seq);
     out
+}
+
+/// One ping round trip on `s`: the pong must come back before the
+/// next request is sent.
+fn ping(s: &mut TcpStream) {
+    write_frame(s, &[REQ_PING]).expect("send ping");
+    s.flush().expect("flush");
+    let p = read_frame(s).expect("recv").expect("pong frame");
+    assert_eq!(decode_response(&p).expect("decodes").status, Status::Pong);
 }
 
 fn small_cfg() -> ServeConfig {
@@ -189,4 +199,46 @@ fn responses_are_identical_at_one_and_four_workers() {
         out
     };
     assert_eq!(run(1), run(4));
+}
+
+// Latency guards. The test client leaves Nagle on, so these time the
+// server's own transport: a split header/payload response write stalls
+// on the client's delayed ACK (~44 ms per round trip), and a polling
+// accept loop delays every new connection's first frame (~5 ms).
+
+#[test]
+fn sequential_pings_on_one_connection_do_not_wait_on_acks() {
+    let server = spawn_server(small_cfg()).expect("spawn");
+    let mut s = connect(server.port());
+    let started = Instant::now();
+    for _ in 0..40 {
+        ping(&mut s);
+    }
+    let took = started.elapsed();
+    drop(s);
+    server.stop().expect("clean stop");
+    assert!(took < Duration::from_millis(200), "40 sequential pings took {took:?}");
+}
+
+#[test]
+fn first_frame_on_a_fresh_connection_is_answered_at_once() {
+    let server = spawn_server(small_cfg()).expect("spawn");
+    let started = Instant::now();
+    for _ in 0..40 {
+        ping(&mut connect(server.port()));
+    }
+    let took = started.elapsed();
+    let stats = server.stop().expect("clean stop");
+    assert_eq!(stats.connections, 40);
+    assert!(took < Duration::from_millis(100), "40 fresh-connection pings took {took:?}");
+}
+
+#[test]
+fn stop_wakes_an_idle_server_that_never_had_a_connection() {
+    let server = spawn_server(small_cfg()).expect("spawn");
+    let started = Instant::now();
+    let stats = server.stop().expect("clean stop");
+    let took = started.elapsed();
+    assert_eq!(stats.connections, 0, "the wake-up connection is not served");
+    assert!(took < Duration::from_secs(1), "stop took {took:?}");
 }

@@ -112,10 +112,28 @@ pub fn read_frame_deadline(
     Ok(Some(payload))
 }
 
-/// Writes one `len u32 | payload` frame.
+/// Writes one `len u32 | payload` frame with a single `write_all`.
+///
+/// Header and payload go out in one buffer, so a small frame leaves as
+/// one TCP segment: a split header write would hold the payload behind
+/// Nagle until the peer's delayed ACK (tens of milliseconds per
+/// request-response round trip). A payload too long for the `u32`
+/// length prefix is [`ErrorKind::InvalidInput`] and writes nothing.
 pub fn write_frame(output: &mut dyn Write, payload: &[u8]) -> std::io::Result<()> {
-    output.write_all(&(payload.len() as u32).to_le_bytes())?;
-    output.write_all(payload)
+    let mut frame = Vec::with_capacity(4 + payload.len());
+    frame.extend_from_slice(&frame_header(payload.len())?);
+    frame.extend_from_slice(payload);
+    output.write_all(&frame)
+}
+
+/// The little-endian length prefix of a `len`-byte payload.
+fn frame_header(len: usize) -> std::io::Result<[u8; 4]> {
+    u32::try_from(len).map(u32::to_le_bytes).map_err(|_| {
+        Error::new(
+            ErrorKind::InvalidInput,
+            format!("frame payload of {len} bytes exceeds the u32 length prefix"),
+        )
+    })
 }
 
 /// Whether an I/O error is a read-timeout wakeup (platforms disagree on
@@ -179,6 +197,38 @@ mod tests {
         assert_eq!(read_frame(&mut cur).unwrap().unwrap(), b"hello");
         assert_eq!(read_frame(&mut cur).unwrap().unwrap(), b"");
         assert!(read_frame(&mut cur).unwrap().is_none());
+    }
+
+    #[test]
+    fn header_refuses_lengths_past_u32() {
+        assert_eq!(frame_header(0x0102_0304).unwrap(), [4, 3, 2, 1]);
+        assert_eq!(frame_header(u32::MAX as usize).unwrap(), [0xff; 4]);
+        let err = frame_header(u32::MAX as usize + 1).unwrap_err();
+        assert_eq!(err.kind(), ErrorKind::InvalidInput);
+    }
+
+    /// A writer that records the length of every `write` call.
+    #[derive(Default)]
+    struct Calls(Vec<usize>);
+
+    impl Write for Calls {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            self.0.push(buf.len());
+            Ok(buf.len())
+        }
+
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn one_write_call_per_frame() {
+        for len in [0, 1, 4096] {
+            let mut out = Calls::default();
+            write_frame(&mut out, &vec![5u8; len]).unwrap();
+            assert_eq!(out.0, [4 + len], "payload of {len} bytes");
+        }
     }
 
     #[test]

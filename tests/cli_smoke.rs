@@ -298,6 +298,47 @@ fn serve_tcp_and_client_end_to_end() {
     let _ = std::fs::remove_dir_all(dir);
 }
 
+/// SIGTERM reaches the serve loop only through the signal watcher's
+/// `ShutdownFlag::request`, whose self-connect wakes the blocking
+/// accept: the server must drain and exit 0 without any client.
+#[cfg(unix)]
+#[test]
+fn serve_drains_and_exits_zero_on_sigterm() {
+    use std::io::{BufRead, BufReader};
+    use std::process::Stdio;
+    use std::time::{Duration, Instant};
+
+    let mut server = pdip()
+        .args(["serve", "--port", "0", "--threads", "2"])
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("spawn pdip serve");
+    let mut lines = BufReader::new(server.stdout.take().expect("server stdout")).lines();
+    let banner = lines.next().expect("listening line").expect("readable stdout");
+    assert!(banner.contains("listening on"), "{banner}");
+    let port: u16 = banner.rsplit(':').next().and_then(|p| p.parse().ok()).expect("port");
+    assert_ne!(port, 0, "{banner}");
+
+    let kill =
+        Command::new("kill").args(["-TERM", &server.id().to_string()]).status().expect("run kill");
+    assert!(kill.success(), "kill -TERM failed: {kill:?}");
+    let started = Instant::now();
+    let status = loop {
+        if let Some(st) = server.try_wait().expect("poll server") {
+            break st;
+        }
+        if started.elapsed() > Duration::from_secs(5) {
+            let _ = server.kill();
+            panic!("pdip serve did not exit within 5 s of SIGTERM");
+        }
+        std::thread::sleep(Duration::from_millis(10));
+    };
+    assert_eq!(status.code(), Some(0), "server exit: {status:?}");
+    let rest: Vec<String> = lines.map_while(Result::ok).collect();
+    assert!(rest.iter().any(|l| l.contains("drained")), "no drained line in {rest:?}");
+}
+
 #[test]
 fn stats_subcommand_and_json_client_read_live_metrics() {
     use std::io::{BufRead, BufReader};
