@@ -1,4 +1,4 @@
-//! Graph-substrate benchmarks behind `pdip bench-graph`.
+//! Graph-substrate benchmarks behind `pdip exp bench-graph`.
 //!
 //! Five paired measurements over the frozen-CSR graph core, each timing
 //! the optimized path against the shape it replaced:
@@ -21,7 +21,7 @@
 //!
 //! Graph-shaped entries run at n ∈ {10³, 10⁴, 10⁵} (`--smoke` restricts
 //! to 10³ with a tiny time budget for CI). Inputs are seed-fixed, so only
-//! timings vary run to run. The document written by `pdip bench-graph`
+//! timings vary run to run. The document written by `pdip exp bench-graph`
 //! has schema [`crate::snapshot::GRAPH`] and is described in DESIGN.md
 //! §1.1.
 

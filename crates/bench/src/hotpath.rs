@@ -1,4 +1,4 @@
-//! Hot-path microbenchmarks behind `pdip bench-hotpath`.
+//! Hot-path microbenchmarks behind `pdip exp bench-hotpath`.
 //!
 //! Three measurements, each pairing the optimized path against the
 //! division-based baseline it replaced:
@@ -17,7 +17,7 @@
 //!
 //! Everything is deterministic (SplitMix64 inputs, no RNG state shared
 //! across entries); only the timings vary run to run. The document
-//! written by `pdip bench-hotpath` has schema [`HOTPATH`] and is
+//! written by `pdip exp bench-hotpath` has schema [`HOTPATH`] and is
 //! described in DESIGN.md §4a.
 
 use crate::snapshot::{time_ns, Entry, Snapshot, HOTPATH};

@@ -1,4 +1,4 @@
-//! Per-stage profiler for one full planarity round — `pdip bench-round`.
+//! Per-stage profiler for one full planarity round — `pdip exp bench-round`.
 //!
 //! One honest run of the Theorem 1.5 planarity protocol passes through
 //! four conceptual stages: the LR-orientation machinery (rotation check,
@@ -17,7 +17,7 @@
 //! Durations are histogram/timing data: they never enter the
 //! deterministic event stream, so profiling a round cannot perturb any
 //! committed artifact (see the `pdip-obs` determinism rules). The
-//! document written by `pdip bench-round` has schema
+//! document written by `pdip exp bench-round` has schema
 //! [`crate::snapshot::ROUND`] and is freshness-guarded by
 //! `tests/bench_round_freshness.rs`.
 

@@ -1,5 +1,5 @@
-//! The one snapshot path shared by `pdip bench-hotpath`,
-//! `pdip bench-graph` and `pdip bench-round`: the paired-timing
+//! The one snapshot path shared by the `bench-hotpath`, `bench-graph`
+//! and `bench-round` experiments (`pdip exp <id>`): the paired-timing
 //! [`Entry`], the [`time_ns`] timer every measurement runs through, and
 //! the [`Snapshot`] document with its renderer and parser.
 //!
@@ -12,6 +12,7 @@
 //! committed `results/bench_*.json` catch drift in either.
 
 use std::fmt::Write as _;
+use std::hint::black_box;
 use std::time::{Duration, Instant};
 
 /// One snapshot document kind.
@@ -77,29 +78,25 @@ pub struct StageRow {
 ///
 /// Doubles the iteration count until one sample exceeds `min_time`, then
 /// takes the median of `samples` such samples — robust enough for a
-/// speedup ratio without a full statistical analysis pass.
-pub fn time_ns(min_time: Duration, samples: usize, mut f: impl FnMut()) -> f64 {
-    f(); // warm-up
-    let mut iters = 1u64;
-    loop {
+/// speedup ratio without a full statistical analysis pass. Every call
+/// goes through [`black_box`] (the closure, its result and the
+/// iteration count), so the optimiser can neither hoist a pure `f` out
+/// of the loop nor fold the loop into one step.
+pub fn time_ns<R>(min_time: Duration, samples: usize, mut f: impl FnMut() -> R) -> f64 {
+    let mut sample = |iters: u64| {
         let start = Instant::now();
-        for _ in 0..iters {
-            f();
+        for _ in 0..black_box(iters) {
+            black_box(black_box(&mut f)());
         }
-        if start.elapsed() >= min_time {
-            break;
-        }
-        iters *= 2;
+        start.elapsed()
+    };
+    sample(1); // warm-up
+    let mut iters = 1u64;
+    while sample(iters) < min_time {
+        iters = iters.saturating_mul(2);
     }
-    let mut out: Vec<f64> = (0..samples.max(1))
-        .map(|_| {
-            let start = Instant::now();
-            for _ in 0..iters {
-                f();
-            }
-            start.elapsed().as_nanos() as f64 / iters as f64
-        })
-        .collect();
+    let mut out: Vec<f64> =
+        (0..samples.max(1)).map(|_| sample(iters).as_nanos() as f64 / iters as f64).collect();
     out.sort_by(|a, b| a.total_cmp(b));
     out[out.len() / 2]
 }
@@ -311,5 +308,22 @@ mod tests {
         let ns = time_ns(Duration::from_micros(50), 3, || calls += 1);
         assert!(ns > 0.0);
         assert!(calls > 3);
+    }
+
+    /// A pure closure must still run once per timed call. Without the
+    /// barriers the release build drops the call, the calibration loop
+    /// doubles the iteration count until it wraps to zero, and the
+    /// reported time is infinite; 1000 dependent multiplies cost far more
+    /// than 20 ns.
+    #[test]
+    fn pure_closure_is_not_hoisted_out_of_the_timing_loop() {
+        let seed = black_box(0x9e37_79b9_u64);
+        let ns = time_ns(Duration::from_micros(200), 3, || {
+            (0..1000u64).fold(seed, |acc, i| acc.wrapping_mul(0x5851_f42d_4c95_7f2d) ^ i)
+        });
+        assert!(
+            ns.is_finite() && ns > 20.0,
+            "pure closure timed at {ns:.2} ns per call: the loop was folded"
+        );
     }
 }

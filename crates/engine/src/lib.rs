@@ -20,8 +20,9 @@
 //!    machine-readable JSON/CSV sinks ([`sink`]), plus throughput
 //!    metrics ([`SweepMetrics`]).
 //!
-//! The experiment binaries E1–E3 (`pdip-bench`) and the `pdip sweep` CLI
-//! subcommand drive their grids through this engine.
+//! The E1–E3 generators of the experiment registry (`pdip_bench::exp`)
+//! and the `pdip sweep` CLI subcommand drive their grids through this
+//! engine.
 //!
 //! ```
 //! use pdip_engine::{Engine, Family, ProverSpec, SweepSpec};
@@ -72,7 +73,7 @@ pub use pool::{execute_job, Engine, WorkerScratch};
 pub use record::{
     CellAgg, CellKey, FailureKind, JobFailure, RunRecord, SweepMetrics, SweepOutcome,
 };
-pub use report::{print_table, render_table, Reporter};
+pub use report::{render_table, Reporter};
 pub use scale::{
     digest_result, run_scale, scale_metrics, verify_stream, OverlapAudit, ScaleReport, ScaleRow,
     ScaleSpec, E11_SEED,

@@ -172,7 +172,7 @@ impl SweepMetrics {
         }
     }
 
-    /// The one-line summary the experiment binaries print. The failure
+    /// The one-line `[engine]` summary of a sweep. The failure
     /// count is broken down into panic quarantines and watchdog
     /// timeouts; retry churn and the memory high-water marks are
     /// surfaced alongside.

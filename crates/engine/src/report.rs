@@ -1,13 +1,12 @@
 //! Writer-backed report rendering: aligned tables, summary lines, and
-//! the [`Reporter`] sink the experiment binaries print through.
+//! the [`Reporter`] sink the experiments and the CLI print through.
 //!
 //! Rendering is pure ([`render_table`] returns a `String`), so output
 //! formats are snapshot-testable; the [`Reporter`] decides where the
-//! rendered text goes (stdout, an arbitrary writer, a capture buffer,
-//! or nowhere under `--quiet`).
+//! rendered text goes (stdout, a capture buffer, or nowhere under
+//! `--quiet`).
 
 use crate::record::SweepMetrics;
-use std::io::Write;
 
 /// Renders a simple aligned table (right-justified cells, a dashed rule
 /// under the header) as a string ending in a newline.
@@ -45,12 +44,10 @@ enum Sink {
     Quiet,
     /// An in-memory capture buffer ([`Reporter::into_string`]).
     Buffer(Vec<u8>),
-    /// Any caller-supplied writer.
-    Writer(Box<dyn Write>),
 }
 
-/// The sink experiment binaries and the CLI print human-readable
-/// output through. Replaces scattered `println!` calls so `--quiet`
+/// The sink the experiments and the CLI print human-readable output
+/// through. Replaces scattered `println!` calls so `--quiet`
 /// can silence a whole run and tests can capture exact bytes.
 pub struct Reporter {
     sink: Sink,
@@ -73,11 +70,6 @@ impl Reporter {
         Reporter { sink: Sink::Buffer(Vec::new()) }
     }
 
-    /// A reporter writing to an arbitrary writer.
-    pub fn to_writer(w: Box<dyn Write>) -> Self {
-        Reporter { sink: Sink::Writer(w) }
-    }
-
     /// Stdout unless `quiet` (the shape every `--quiet` flag needs).
     pub fn from_quiet_flag(quiet: bool) -> Self {
         if quiet {
@@ -92,11 +84,6 @@ impl Reporter {
             Sink::Stdout => print!("{s}"),
             Sink::Quiet => {}
             Sink::Buffer(buf) => buf.extend_from_slice(s.as_bytes()),
-            // Report output is best-effort: a broken pipe must not
-            // abort the sweep that produced the data.
-            Sink::Writer(w) => {
-                let _ = w.write_all(s.as_bytes());
-            }
         }
     }
 
@@ -125,13 +112,6 @@ impl Reporter {
             _ => String::new(),
         }
     }
-}
-
-/// Prints a simple aligned table to stdout (back-compat shim over
-/// [`render_table`]).
-pub fn print_table(headers: &[&str], rows: &[Vec<String>]) {
-    let mut r = Reporter::stdout();
-    r.table(headers, rows);
 }
 
 #[cfg(test)]

@@ -87,7 +87,7 @@ impl ScaleSpec {
         }
     }
 
-    /// The CI smoke grid (`pdip scale --smoke`): small sizes, every
+    /// The CI smoke grid (`pdip exp e11 --smoke`): small sizes, every
     /// audit still exercised.
     pub fn smoke() -> Self {
         ScaleSpec {

@@ -53,7 +53,7 @@ impl TraceSpec {
         TraceSpec { sizes: vec![64, 256, 1024], trials: 3, base_seed: E10_SEED, threads: 4 }
     }
 
-    /// The CI smoke grid (`pdip trace --smoke`): small sizes, same
+    /// The CI smoke grid (`pdip exp e10 --smoke`): small sizes, same
     /// audits.
     pub fn smoke() -> Self {
         TraceSpec { sizes: vec![48, 96], trials: 2, base_seed: E10_SEED, threads: 4 }
@@ -139,7 +139,7 @@ pub struct TraceReport {
     pub all_pass: bool,
 }
 
-/// Everything `pdip trace` produces: the deterministic report plus the
+/// Everything `pdip exp e10` produces: the deterministic report plus the
 /// timing-side data that must stay out of committed artifacts.
 #[derive(Debug)]
 pub struct TraceOutcome {

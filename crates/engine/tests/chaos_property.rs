@@ -12,7 +12,7 @@
 //!   classifies identically on every execution.
 //!
 //! Probabilistic classes may miss on individual seeds — that is the ε
-//! budget, audited in aggregate by `pdip chaos` — so here they are only
+//! budget, audited in aggregate by `pdip exp e9` — so here they are only
 //! required to be panic-free and reproducible.
 
 use pdip_engine::chaos::{build_target, Determinism, TamperOutcome, MUTATORS, TARGETS};

@@ -10,7 +10,7 @@
 //!
 //! Node and edge identifiers are plain indices ([`NodeId`], [`EdgeId`]).
 //! They exist only on the "simulator side"; protocol verifiers never see
-//! them (see `pdip-core::NodeView`).
+//! them (see `pdip_core::transcript::neighbor_labels`).
 
 use std::fmt;
 use std::sync::OnceLock;

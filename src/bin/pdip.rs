@@ -8,20 +8,13 @@
 //! pdip soundness <family> [--n N] [--trials T]
 //! pdip sweep [--families a,b,..] [--n-from N] [--n-to N] [--trials T]
 //!            [--threads K] [--seed S] [--honest-only] [--out PATH] [--quiet]
-//! pdip bench-hotpath [--out PATH]
-//! pdip bench-graph [--smoke] [--out PATH]
-//! pdip bench-round [--smoke] [--workers K] [--out PATH]
-//! pdip chaos [--smoke] [--threads K] [--out PREFIX]
-//! pdip trace [--smoke] [--threads K] [--out PREFIX] [--quiet]
-//! pdip scale [--smoke] [--threads K] [--out PREFIX]
+//! pdip exp [<id> [--smoke] [--threads K] [--out PREFIX] [--quiet]]
 //! pdip prove <family> [--n N] [--prover honest|IDX] [--no-instance]
 //!                     [--gen-seed G] [--seed S] [--simulated] [--out PATH]
 //! pdip verify <PATH>
-//! pdip serve [--stdin | --port P | --smoke] [--threads K] [--queue Q]
+//! pdip serve [--stdin | --port P] [--threads K] [--queue Q]
 //!            [--deadline-ms D] [--read-deadline-ms D] [--drain-deadline-ms D]
-//!            [--max-frame-bytes B] [--flight-dump PATH] [--out PREFIX]
-//! pdip serve-chaos [--smoke] [--out PREFIX]
-//! pdip obs-audit [--smoke] [--out PREFIX]
+//!            [--max-frame-bytes B] [--flight-dump PATH]
 //! pdip stats [--host H] [--port P] [--json | --flight]
 //! pdip client [--host H] [--port P] [--seed S] [--retries R]
 //!             [--backoff-ms B] [--shutdown] [--json] FILE...
@@ -42,13 +35,18 @@
 //! `pdip stats` fetches a Prometheus-style snapshot (`--json` for the
 //! JSON form, `--flight` for the flight-recorder event ring), and
 //! `--flight-dump PATH` makes the server write that ring as JSONL on
-//! panic and at drain. `pdip obs-audit` is the gating E14 audit of the
-//! whole observability layer.
+//! panic and at drain. `pdip exp e14` is the gating audit of the whole
+//! observability layer.
+//!
+//! `pdip exp` lists the experiment registry ([`pdip_bench::exp`]): one
+//! entry per committed artifact under `results/`. `pdip exp <id>` runs
+//! one entry and writes `{PREFIX}.txt`/`{PREFIX}.json` (default: the
+//! committed path), exiting 1 if its audit fails.
 
-use pdip_bench::snapshot::{self, Snapshot};
-use pdip_bench::{no_instance, Family, YesInstance, FAMILIES};
+use pdip_bench::exp;
+use pdip_engine::{no_instance, Family, YesInstance, FAMILIES};
 
-/// Track the allocator high-water so `pdip scale` (E11) and the
+/// Track the allocator high-water so `pdip exp e11` and the
 /// `[engine]` summary line can report real heap peaks; see
 /// [`pdip_obs::PeakAlloc`]. Library users and plain test binaries run
 /// untracked — only this binary pays the (two relaxed atomics) cost.
@@ -67,20 +65,13 @@ fn usage() -> ! {
          pdip soundness <family> [--n N] [--trials T]\n  \
          pdip sweep [--families a,b,..] [--n-from N] [--n-to N] [--trials T] [--threads K] \
          [--seed S] [--honest-only] [--out PATH] [--quiet]\n  \
-         pdip bench-hotpath [--out PATH]\n  \
-         pdip bench-graph [--smoke] [--out PATH]\n  \
-         pdip bench-round [--smoke] [--workers K] [--out PATH]\n  \
-         pdip chaos [--smoke] [--threads K] [--out PREFIX]\n  \
-         pdip trace [--smoke] [--threads K] [--out PREFIX] [--quiet]\n  \
-         pdip scale [--smoke] [--threads K] [--out PREFIX]\n  \
+         pdip exp [<id> [--smoke] [--threads K] [--out PREFIX] [--quiet]]\n  \
          pdip prove <family> [--n N] [--prover honest|IDX] [--no-instance] [--gen-seed G] \
          [--seed S] [--simulated] [--out PATH]\n  \
          pdip verify <PATH>   (exit 0 accept / 3 rejected / 4 malformed)\n  \
-         pdip serve [--stdin | --port P | --smoke] [--threads K] [--queue Q] [--deadline-ms D] \
+         pdip serve [--stdin | --port P] [--threads K] [--queue Q] [--deadline-ms D] \
          [--read-deadline-ms D] [--drain-deadline-ms D] [--max-frame-bytes B] \
-         [--flight-dump PATH] [--out PREFIX]\n  \
-         pdip serve-chaos [--smoke] [--out PREFIX]\n  \
-         pdip obs-audit [--smoke] [--out PREFIX]\n  \
+         [--flight-dump PATH]\n  \
          pdip stats [--host H] [--port P] [--json | --flight]\n  \
          pdip client [--host H] [--port P] [--seed S] [--retries R] [--backoff-ms B] \
          [--shutdown] [--json] FILE...\n\nfamilies: {}",
@@ -139,48 +130,78 @@ fn write_artifact(path: &std::path::Path, contents: impl AsRef<[u8]>) {
     std::fs::write(path, contents).unwrap_or_else(|e| panic!("writing {}: {e}", path.display()));
 }
 
-/// Writes an audit report as `{prefix}.txt` and `{prefix}.json` and
-/// returns the `wrote … and …` line.
-fn write_report(prefix: &str, text: &str, json: &str) -> String {
-    let txt_path = std::path::PathBuf::from(format!("{prefix}.txt"));
-    let json_path = std::path::PathBuf::from(format!("{prefix}.json"));
-    write_artifact(&txt_path, text);
-    write_artifact(&json_path, json);
-    format!("wrote {} and {}", txt_path.display(), json_path.display())
-}
-
-/// Prints a bench snapshot's tables (entries, then stages if any),
-/// writes the document to `out` and reports the path.
-fn write_bench_snapshot(out: &str, snap: &Snapshot) {
-    println!(
-        "{:<24} {:>10} {:>14} {:>14} {:>9}",
-        "benchmark", "n", "baseline ns", "fast ns", "speedup"
-    );
-    for e in &snap.entries {
-        println!(
-            "{:<24} {:>10} {:>14.1} {:>14.1} {:>8.2}x",
-            e.name,
-            e.n,
-            e.baseline_ns,
-            e.fast_ns,
-            e.speedup()
-        );
-    }
-    if snap.schema.stages {
-        println!("\n{:<24} {:>10} {:>14} {:>8}", "stage", "n", "total ns", "share");
-        for r in &snap.stages {
-            println!("{:<24} {:>10} {:>14.1} {:>7.1}%", r.stage, r.n, r.total_ns, 100.0 * r.share);
+/// `pdip exp`: lists the registry, or runs one entry and writes its
+/// artifacts as `{PREFIX}.{ext}`.
+fn run_experiment(args: &[String]) {
+    let Some(id) = args.first() else {
+        let rows: Vec<Vec<String>> = exp::ENTRIES
+            .iter()
+            .map(|e| {
+                let cmp: Vec<&str> =
+                    e.artifacts.iter().filter(|a| a.deterministic).map(|a| a.ext).collect();
+                let cmp = if cmp.is_empty() { "-".to_string() } else { cmp.join(",") };
+                let cells = [e.id, e.committed.name(), e.gate().name(), &cmp, &e.prefix(), e.title];
+                cells.iter().map(|s| s.to_string()).collect()
+            })
+            .collect();
+        let headers = ["id", "committed", "gate", "cmp", "artifact", "title"];
+        print!("{}", pdip_engine::render_table(&headers, &rows));
+        return;
+    };
+    let entry = exp::find(id).unwrap_or_else(|| {
+        let ids: Vec<&str> = exp::ENTRIES.iter().map(|e| e.id).collect();
+        eprintln!("unknown experiment '{id}'; ids: {}", ids.join(", "));
+        usage()
+    });
+    let mut opts = exp::Opts::default();
+    let mut out = entry.prefix();
+    let mut quiet = false;
+    let mut rest = args[1..].iter();
+    while let Some(flag) = rest.next() {
+        let mut value = || {
+            rest.next().cloned().unwrap_or_else(|| {
+                eprintln!("{flag} needs a value");
+                usage()
+            })
+        };
+        match flag.as_str() {
+            "--smoke" if entry.takes(flag) => opts.smoke = true,
+            "--threads" if entry.takes(flag) => opts.threads = Some(parse_num(flag, &value())),
+            "--out" => out = value(),
+            "--quiet" => quiet = true,
+            _ => {
+                eprintln!("pdip exp {id} does not take '{flag}'");
+                usage()
+            }
         }
     }
-    let path = std::path::Path::new(out);
-    write_artifact(path, snap.render());
-    println!("\nwrote {}", path.display());
+    let output = (entry.run)(&opts);
+    let mut wrote = Vec::new();
+    for (artifact, contents) in entry.artifacts.iter().zip(&output.files) {
+        if artifact.ext == "txt" && !quiet {
+            print!("{contents}");
+        }
+        let path = std::path::PathBuf::from(format!("{out}.{}", artifact.ext));
+        write_artifact(&path, contents);
+        wrote.push(path.display().to_string());
+    }
+    if !quiet {
+        for note in &output.notes {
+            println!("{note}");
+        }
+        println!("wrote {}", wrote.join(" and "));
+    }
+    if !output.passed {
+        eprintln!("pdip exp {id}: audit FAILED (see the report above)");
+        std::process::exit(1);
+    }
 }
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let Some(cmd) = args.first() else { usage() };
     match cmd.as_str() {
+        "exp" => run_experiment(&args[1..]),
         "families" => {
             for f in FAMILIES {
                 let inst = YesInstance::generate(f, 64, 1);
@@ -354,163 +375,6 @@ fn main() {
             rep.line(&format!("\nwrote {} and {}", json.display(), csv.display()));
             rep.summary(&outcome.metrics);
         }
-        "bench-hotpath" => {
-            let out =
-                flag_value(&args, "--out").unwrap_or_else(|| "results/bench_hotpath.json".into());
-            println!("hot-path microbenchmarks (optimized vs division-based baseline):\n");
-            write_bench_snapshot(&out, &pdip_bench::hotpath::run_hotpath());
-        }
-        "bench-graph" => {
-            let out =
-                flag_value(&args, "--out").unwrap_or_else(|| "results/bench_graph.json".into());
-            let smoke = args.iter().any(|a| a == "--smoke");
-            let cfg = if smoke {
-                pdip_bench::graphbench::GraphBenchConfig::smoke()
-            } else {
-                pdip_bench::graphbench::GraphBenchConfig::full()
-            };
-            let mode = if smoke { "smoke" } else { "full" };
-            println!(
-                "graph-substrate benchmarks ({mode}; frozen CSR + warm scratch vs legacy shape):\n"
-            );
-            let entries = pdip_bench::graphbench::run_graphbench(&cfg);
-            let stages = Vec::new();
-            write_bench_snapshot(
-                &out,
-                &Snapshot { schema: &snapshot::GRAPH, header: mode.into(), entries, stages },
-            );
-        }
-        "bench-round" => {
-            let out =
-                flag_value(&args, "--out").unwrap_or_else(|| "results/bench_round.json".into());
-            // Intra-job workers for the round's chunked per-node loops.
-            // Transcripts are byte-identical at any value (the chunk grid
-            // is worker-count independent), so the default follows the
-            // machine: available_parallelism, capped at MAX_AUTO_WORKERS.
-            // Pass --workers 1 to reproduce single-thread timings.
-            match flag_value(&args, "--workers") {
-                Some(w) => {
-                    pdip_core::par::set_intra_workers(parse_num::<usize>("--workers", &w).max(1));
-                }
-                None => pdip_core::par::set_intra_workers_auto(),
-            }
-            println!("intra-job workers: {}\n", pdip_core::par::intra_workers());
-            let smoke = args.iter().any(|a| a == "--smoke");
-            let cfg = if smoke {
-                pdip_bench::roundbench::RoundBenchConfig::smoke()
-            } else {
-                pdip_bench::roundbench::RoundBenchConfig::full()
-            };
-            let mode = if smoke { "smoke" } else { "full" };
-            println!(
-                "planarity-round profile ({mode}; honest run vs committed pre-optimization baseline):\n"
-            );
-            let (entries, stages) = pdip_bench::roundbench::run_roundbench(&cfg);
-            write_bench_snapshot(
-                &out,
-                &Snapshot { schema: &snapshot::ROUND, header: mode.into(), entries, stages },
-            );
-        }
-        "chaos" => {
-            let smoke = args.iter().any(|a| a == "--smoke");
-            let mut spec = if smoke {
-                pdip_engine::ChaosSpec::smoke()
-            } else {
-                pdip_engine::ChaosSpec::full()
-            };
-            spec.threads = flag_num(&args, "--threads", {
-                std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1)
-            });
-            let out = flag_value(&args, "--out").unwrap_or_else(|| "results/e9_chaos".into());
-            println!(
-                "chaos sweep ({}): n={} trials-per-cell={} base-seed={:#x} threads={}\n",
-                if smoke { "smoke" } else { "full" },
-                spec.n,
-                spec.trials,
-                spec.base_seed,
-                spec.threads
-            );
-            let report = pdip_engine::run_chaos(&spec);
-            print!("{}", report.render_text());
-            println!("\n{}", write_report(&out, &report.render_text(), &report.render_json()));
-            if !report.all_pass {
-                eprintln!("chaos audit FAILED (see table above)");
-                std::process::exit(1);
-            }
-        }
-        "trace" => {
-            let smoke = args.iter().any(|a| a == "--smoke");
-            let mut spec = if smoke {
-                pdip_engine::TraceSpec::smoke()
-            } else {
-                pdip_engine::TraceSpec::full()
-            };
-            spec.threads = flag_num(&args, "--threads", {
-                std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1)
-            });
-            let out = flag_value(&args, "--out").unwrap_or_else(|| "results/e10_trace".into());
-            let mut rep = Reporter::from_quiet_flag(args.iter().any(|a| a == "--quiet"));
-            rep.line(&format!(
-                "trace audit ({}): sizes={:?} trials-per-cell={} base-seed={:#x} threads={}\n",
-                if smoke { "smoke" } else { "full" },
-                spec.sizes,
-                spec.trials,
-                spec.base_seed,
-                spec.threads
-            ));
-            let outcome = pdip_engine::run_trace(&spec);
-            rep.line(&outcome.report.render_text());
-            // Timing breakdown is stdout-only: scheduling-dependent, so
-            // it never reaches the committed artifact files.
-            rep.line("span timing (wall-clock, not part of the artifact):");
-            for l in outcome.timing_lines() {
-                rep.line(&format!("  {l}"));
-            }
-            rep.line(&format!(
-                "\n{}",
-                write_report(&out, &outcome.report.render_text(), &outcome.report.render_json())
-            ));
-            rep.summary(&outcome.metrics);
-            if !outcome.report.all_pass {
-                eprintln!("trace audit FAILED (see table above)");
-                std::process::exit(1);
-            }
-        }
-        "scale" => {
-            let smoke = args.iter().any(|a| a == "--smoke");
-            let mut spec = if smoke {
-                pdip_engine::ScaleSpec::smoke()
-            } else {
-                pdip_engine::ScaleSpec::full()
-            };
-            spec.threads = flag_num(&args, "--threads", spec.threads);
-            let out = flag_value(&args, "--out").unwrap_or_else(|| "results/e11_scale".into());
-            println!(
-                "scaling audit ({}): sizes={:?} shard-n={} base-seed={:#x} threads={}\n",
-                if smoke { "smoke" } else { "full" },
-                spec.sizes,
-                spec.shard_n,
-                spec.base_seed,
-                spec.threads
-            );
-            let start = std::time::Instant::now();
-            let report = pdip_engine::run_scale(&spec);
-            print!("{}", report.render_text());
-            println!("\n{}", write_report(&out, &report.render_text(), &report.render_json()));
-            let mut rep = Reporter::from_quiet_flag(false);
-            rep.summary(&pdip_engine::scale_metrics(&report, start.elapsed()));
-            // This binary installs the tracking allocator, so the
-            // bounded-memory gate must have run for real — an untracked
-            // run means the gate silently passed vacuously.
-            if !report.rss_tracked {
-                eprintln!("scale audit FAILED: allocator peak untracked in the pdip binary");
-                std::process::exit(1);
-            }
-            if !report.all_pass {
-                eprintln!("scale audit FAILED (see table above)");
-                std::process::exit(1);
-            }
-        }
         "prove" => {
             let fam = parse_family(args.get(1).map(String::as_str).unwrap_or_else(|| usage()));
             let n = flag_num(&args, "--n", 64);
@@ -597,6 +461,10 @@ fn main() {
             }
         }
         "serve" => {
+            if args.iter().any(|a| a == "--smoke") {
+                eprintln!("pdip serve takes no --smoke; the E12 smoke audit is `pdip exp e12`");
+                usage()
+            }
             let max_frame_bytes =
                 flag_num(&args, "--max-frame-bytes", pdip_engine::serve::MAX_FRAME);
             // A cap below one response header (13 bytes) or absurdly
@@ -627,16 +495,7 @@ fn main() {
                 }),
                 ..ServeConfig::default()
             };
-            if args.iter().any(|a| a == "--smoke") {
-                let out = flag_value(&args, "--out").unwrap_or_else(|| "results/e12_serve".into());
-                let report = pdip_engine::run_serve_smoke(&[1, 4], pdip_engine::E12_SEED);
-                print!("{}", report.render_text());
-                println!("\n{}", write_report(&out, &report.render_text(), &report.render_json()));
-                if !report.passed {
-                    eprintln!("serve smoke FAILED (see failures above)");
-                    std::process::exit(1);
-                }
-            } else if args.iter().any(|a| a == "--stdin") {
+            if args.iter().any(|a| a == "--stdin") {
                 let stats = pdip_engine::serve_pipe(
                     &cfg,
                     &mut std::io::stdin().lock(),
@@ -671,61 +530,6 @@ fn main() {
                     stats.conn_faults,
                     stats.connections
                 );
-            }
-        }
-        "serve-chaos" => {
-            let smoke = args.iter().any(|a| a == "--smoke");
-            let spec = if smoke {
-                pdip_engine::ServeChaosSpec::smoke()
-            } else {
-                pdip_engine::ServeChaosSpec::full()
-            };
-            let out =
-                flag_value(&args, "--out").unwrap_or_else(|| "results/e13_serve_chaos".into());
-            println!(
-                "serve chaos audit ({}): trials-per-class={} base-seed={:#x}\n",
-                if smoke { "smoke" } else { "full" },
-                spec.trials,
-                pdip_engine::E13_SEED
-            );
-            let report = pdip_engine::run_serve_chaos(&spec, pdip_engine::E13_SEED);
-            print!("{}", report.render_text());
-            // Throughput is timing data: stdout only in the text form,
-            // one clearly-marked field in the JSON.
-            println!("\nsustained throughput: {:.1} requests/sec over localhost TCP", report.rps);
-            println!("{}", write_report(&out, &report.render_text(), &report.render_json()));
-            if !report.passed {
-                eprintln!("serve chaos audit FAILED (see failures above)");
-                std::process::exit(1);
-            }
-        }
-        "obs-audit" => {
-            let smoke = args.iter().any(|a| a == "--smoke");
-            let spec = if smoke {
-                pdip_engine::ObsAuditSpec::smoke()
-            } else {
-                pdip_engine::ObsAuditSpec::full()
-            };
-            let out = flag_value(&args, "--out").unwrap_or_else(|| "results/e14_obs".into());
-            println!(
-                "observability audit ({}): fault-trials-per-class={} threads={:?} base-seed={:#x}\n",
-                if smoke { "smoke" } else { "full" },
-                spec.fault_trials,
-                spec.threads,
-                pdip_engine::E14_SEED
-            );
-            let report = pdip_engine::run_obs_audit(&spec, pdip_engine::E14_SEED);
-            print!("{}", report.render_text());
-            // Throughput and latency are timing data: stdout only in
-            // the text form, clearly-marked fields in the JSON.
-            println!(
-                "\nsustained throughput: {:.1} requests/sec, mean verify latency {} ns",
-                report.rps, report.mean_verify_ns
-            );
-            println!("{}", write_report(&out, &report.render_text(), &report.render_json()));
-            if !report.passed {
-                eprintln!("observability audit FAILED (see failures above)");
-                std::process::exit(1);
             }
         }
         "stats" => {

@@ -67,16 +67,21 @@ fn run_rejects_out_of_range_cheat_and_zero_repeat() {
 
 #[test]
 fn malformed_numeric_flags_are_usage_errors_naming_the_flag() {
-    for (args, flag) in [
-        (&["run", "planarity", "--n", "abc"][..], "--n"),
-        (&["run", "planarity", "--seed", "-1"], "--seed"),
-        (&["sweep", "--trials", "x"], "--trials"),
-        (&["serve", "--stdin", "--deadline-ms", "abc"], "--deadline-ms"),
-        (&["client", "--port", "notaport", "x"], "--port"),
-        (&["bench-round", "--smoke", "--workers", "two"], "--workers"),
+    let numeric = |flag: &str| format!("{flag} takes a non-negative integer");
+    for (args, want) in [
+        (&["run", "planarity", "--n", "abc"][..], numeric("--n")),
+        (&["run", "planarity", "--seed", "-1"], numeric("--seed")),
+        (&["sweep", "--trials", "x"], numeric("--trials")),
+        (&["serve", "--stdin", "--deadline-ms", "abc"], numeric("--deadline-ms")),
+        (&["client", "--port", "notaport", "x"], numeric("--port")),
+        (&["exp", "bench-round", "--smoke", "--threads", "two"], numeric("--threads")),
+        (&["exp", "e2", "--threads", "x"], numeric("--threads")),
+        (&["exp", "e99"], "unknown experiment 'e99'; ids: e1, e2, e3".into()),
+        (&["exp", "bench-hotpath", "--threads", "3"], "does not take '--threads'".into()),
+        (&["exp", "e12", "--smoke"], "does not take '--smoke'".into()),
     ] {
         let err = usage_error(args);
-        assert!(err.contains(&format!("{flag} takes a non-negative integer")), "{args:?}: {err}");
+        assert!(err.contains(&want), "{args:?}: {err}");
     }
 }
 
@@ -132,12 +137,12 @@ fn sweep_writes_deterministic_outputs() {
 
 #[test]
 fn bench_graph_smoke_writes_parseable_snapshot() {
-    let out_path = std::env::temp_dir().join("pdip_bench_graph_smoke.json");
+    let out_path = std::env::temp_dir().join("pdip_bench_graph_smoke");
     let out = pdip()
-        .args(["bench-graph", "--smoke", "--out"])
+        .args(["exp", "bench-graph", "--smoke", "--out"])
         .arg(&out_path)
         .output()
-        .expect("run pdip bench-graph");
+        .expect("run pdip exp bench-graph");
     assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
     let text = String::from_utf8_lossy(&out.stdout);
     for name in
@@ -145,23 +150,24 @@ fn bench_graph_smoke_writes_parseable_snapshot() {
     {
         assert!(text.contains(name), "missing {name} in: {text}");
     }
-    let doc = std::fs::read_to_string(&out_path).expect("bench-graph snapshot");
+    let doc =
+        std::fs::read_to_string(out_path.with_extension("json")).expect("bench-graph snapshot");
     let entries = pdip_bench::snapshot::Snapshot::parse(&doc, &pdip_bench::snapshot::GRAPH)
         .expect("snapshot parses")
         .entries;
     assert!(entries.len() >= 5, "expected all five benchmarks, got {}", entries.len());
     assert!(doc.contains("\"mode\": \"smoke\""));
-    let _ = std::fs::remove_file(out_path);
+    let _ = std::fs::remove_file(out_path.with_extension("json"));
 }
 
 #[test]
 fn trace_smoke_passes_audit_and_quiet_silences_stdout() {
     let out_path = std::env::temp_dir().join("pdip_trace_smoke");
     let out = pdip()
-        .args(["trace", "--smoke", "--threads", "2", "--quiet", "--out"])
+        .args(["exp", "e10", "--smoke", "--threads", "2", "--quiet", "--out"])
         .arg(&out_path)
         .output()
-        .expect("run pdip trace");
+        .expect("run pdip exp e10");
     assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
     assert!(out.stdout.is_empty(), "--quiet must silence stdout");
     let txt = std::fs::read_to_string(out_path.with_extension("txt")).expect("trace txt");

@@ -6,7 +6,7 @@
 use planarity_dip::protocols::{PopParams, Transport};
 use proptest::prelude::*;
 
-use pdip_bench::{no_instance, Family, YesInstance, FAMILIES};
+use pdip_engine::{no_instance, Family, YesInstance, FAMILIES};
 
 fn family_strategy() -> impl Strategy<Value = Family> {
     prop::sample::select(FAMILIES.to_vec())
