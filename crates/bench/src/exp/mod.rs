@@ -2,7 +2,9 @@
 //! `results/`, each with the one generator that produces it.
 //!
 //! `pdip exp` prints [`ENTRIES`] and `pdip exp <id>` runs one of them;
-//! `tests/experiments.rs` reads every committed file through the table,
+//! the freshness tests (`tests/experiments.rs`, plus
+//! `tests/results_freshness.rs` for E3 and `tests/e12_freshness.rs` for
+//! E12) read every committed file through the table,
 //! and CI re-runs each entry's [`Entry::gate`] variant and `cmp`s its
 //! deterministic files against `results/`.
 //!

@@ -1,11 +1,14 @@
-//! Freshness guards for every committed artifact under `results/`, read
+//! Freshness guards for the committed artifacts under `results/`, read
 //! through the experiment registry ([`pdip_bench::exp`]) so a renamed
-//! path cannot drift from the table that writes it. Each guard checks
-//! the committed file without re-running the whole grid: deterministic
-//! artifacts by rerunning their smallest cell (E3, E10, E11), the whole
-//! run (E12) or a live-server digest probe (E13, E14); timing artifacts
-//! (the bench snapshots, the `rps` and latency fields) only have to
-//! parse and witness their claims. Regenerate with `pdip exp <id>`.
+//! path cannot drift from the table that writes it, plus the check that
+//! every file under `results/` has exactly one owner in the table. Each
+//! guard checks the committed file without re-running the whole grid:
+//! deterministic artifacts by rerunning their smallest cell (E10, E11)
+//! or a live-server digest probe (E13, E14); timing artifacts (the bench
+//! snapshots, the `rps` and latency fields) only have to parse and
+//! witness their claims. E3 and E12 keep their own guards in
+//! `tests/results_freshness.rs` and `tests/e12_freshness.rs`.
+//! Regenerate with `pdip exp <id>`.
 
 use pdip_bench::exp::{self, ENTRIES};
 use pdip_bench::roundbench::{committed_baseline_ns, ROUND_STAGES};
@@ -13,11 +16,11 @@ use pdip_bench::snapshot::{Snapshot, GRAPH, HOTPATH, ROUND};
 use pdip_engine::chaos::{build_target, MUTATORS, TARGETS};
 use pdip_engine::{
     determinism_probe, digest_result, envelope_bits, execute_job, metrics_determinism_probe,
-    run_serve_smoke, sub_seed, verify_stream, Engine, Family, Prover, ProverSpec, ScaleSpec,
-    SeedMode, SweepSpec, TraceSpec, WorkerScratch, E12_SEED, E13_SEED, E14_SEED, FAMILIES,
+    sub_seed, verify_stream, Family, ScaleSpec, TraceSpec, WorkerScratch, E13_SEED, E14_SEED,
+    FAMILIES,
 };
 use pdip_graph::{StreamMode, StreamSkeleton};
-use pdip_obs::{CollectingRecorder, NoopRecorder, SpanId};
+use pdip_obs::{CollectingRecorder, SpanId};
 use planarity_dip::field::smallest_prime_above;
 use std::path::Path;
 
@@ -124,57 +127,6 @@ fn registry_check_flags_an_orphan_and_a_missing_file() {
     std::fs::remove_file(root.join("results/e9_chaos.json")).expect("remove one artifact");
     assert_eq!(registry_mismatches(&root).len(), 2, "a missing artifact must be flagged");
     let _ = std::fs::remove_dir_all(root);
-}
-
-// ---- e3
-
-#[test]
-fn committed_e3_table_matches_rerun_of_smallest_cell() {
-    let text = committed("e3", "txt");
-
-    // The path-outerplanarity rows of the first (E3) table:
-    // family, cheat, rate @ n~60, rate @ n~300.
-    let e3_section = text.split("E3b").next().expect("E3 section");
-    let committed_rows: Vec<(String, String)> = e3_section
-        .lines()
-        .map(str::trim)
-        .filter(|l| l.starts_with("path-outerplanarity"))
-        .map(|l| {
-            let cells: Vec<&str> = l.split_whitespace().collect();
-            assert_eq!(cells.len(), 4, "unexpected row shape: {l}");
-            (cells[1].to_string(), cells[2].to_string())
-        })
-        .collect();
-    assert!(!committed_rows.is_empty(), "no path-outerplanarity rows found");
-
-    let trials = 80u64;
-    let spec = SweepSpec {
-        families: vec![Family::PathOuterplanar],
-        sizes: vec![60],
-        provers: vec![ProverSpec::AllCheats],
-        trials,
-        seeds: SeedMode::Explicit(exp::paper::e3_seeds),
-        ..SweepSpec::default()
-    };
-    let outcome = Engine::with_threads(1).run(&spec, &NoopRecorder);
-    assert!(outcome.failures.is_empty(), "{:?}", outcome.failures);
-
-    let cheat_names = Family::PathOuterplanar.cheat_names();
-    assert_eq!(
-        committed_rows.iter().map(|(c, _)| c.clone()).collect::<Vec<_>>(),
-        cheat_names,
-        "cheat rows in the committed table differ from the implemented cheats"
-    );
-    for (s, (cheat, committed_rate)) in committed_rows.iter().enumerate() {
-        let accepted =
-            outcome.records.iter().filter(|r| r.prover == Prover::Cheat(s) && r.accepted).count();
-        let fresh = format!("{:.1}%", 100.0 * accepted as f64 / trials as f64);
-        assert_eq!(
-            &fresh, committed_rate,
-            "stale results/e3_soundness.txt: {cheat} @ n~60 is {fresh} on rerun; \
-             regenerate with `pdip exp e3`"
-        );
-    }
 }
 
 // ---- bench-hotpath
@@ -613,27 +565,6 @@ fn smallest_row_replays_to_committed_digest() {
     );
     assert_eq!(field(line, "proof_size_bits").parse::<usize>().unwrap(), res.stats.proof_size());
     assert_eq!(field(line, "coin_bits").parse::<usize>().unwrap(), res.stats.coin_bits);
-}
-
-// ---- e12
-
-#[test]
-fn committed_e12_matches_rerun_byte_for_byte() {
-    let report = run_serve_smoke(&[1, 4], E12_SEED);
-    assert!(report.passed, "serve smoke audit failed: {:?}", report.failures);
-    assert!(report.lines.len() >= 100, "smoke must push >= 100 requests");
-    assert_eq!(report.stats.panics, 0, "smoke must be panic-free");
-    assert_eq!(
-        report.probe_busy,
-        report.probe_submitted - report.probe_queue_cap,
-        "gated probe must busy-reject exactly the overflow"
-    );
-
-    let txt = committed("e12", "txt");
-    assert_eq!(txt, report.render_text(), "committed e12 text artifact is stale");
-
-    let json = committed("e12", "json");
-    assert_eq!(json, report.render_json(), "committed e12 json artifact is stale");
 }
 
 // ---- e13
