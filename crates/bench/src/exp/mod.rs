@@ -177,7 +177,7 @@ pub fn find(id: &str) -> Option<&'static Entry> {
 
 /// The `--threads` value, defaulting to the machine's parallelism.
 fn threads(o: &Opts) -> usize {
-    o.threads.unwrap_or_else(|| std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1))
+    o.threads.unwrap_or_else(pdip_core::par::machine_parallelism)
 }
 
 /// The name of the variant `o` selects.

@@ -23,22 +23,33 @@
 //!   parallelism, no oversubscription.
 //!
 //! The knob is process-global ([`set_intra_workers`]; the default is
-//! *auto* — `available_parallelism()` capped at [`MAX_AUTO_WORKERS`]) so
+//! *auto* — [`machine_parallelism`] capped at [`MAX_AUTO_WORKERS`]) so
 //! single runs (CLI round benchmarks, one-shot verifications) engage the
-//! parallel path out of the box on multi-core machines. Sweeps keep their
-//! across-job parallelism: the engine's jobs run inside the guarded
-//! chunk loop, so the auto default never nests a second thread layer.
-//! With one effective worker every entry point
-//! degenerates to the plain serial loop — same code path a round compiled
-//! to before this module existed, and small inputs (`len <= grain`) stay
-//! serial at any setting.
+//! parallel path out of the box on multi-core machines. The machine's
+//! core count is resolved once per process, so reading the knob is one
+//! atomic load after the first read. Sweeps keep their across-job
+//! parallelism: the engine's jobs run inside the guarded chunk loop, so
+//! the auto default never nests a second thread layer. With one effective
+//! worker every entry point degenerates to the plain serial loop — same
+//! code path a round compiled to before this module existed. Small inputs
+//! (`len <= grain`, one chunk) are decided first: [`map_chunks`] and
+//! [`map_indexed`] run them as that serial loop without reading any
+//! worker count.
 
 use std::ops::Range;
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::OnceLock;
 
 /// Configured intra-job worker count (process-global). `0` is the *auto*
 /// sentinel: resolve to [`auto_intra_workers`] at read time.
 static INTRA_WORKERS: AtomicUsize = AtomicUsize::new(0);
+
+/// The machine's core count, resolved on first use ([`machine_parallelism`]).
+static MACHINE_PARALLELISM: OnceLock<usize> = OnceLock::new();
+
+/// How many times the core count was resolved (the "resolved once" gate).
+#[cfg(test)]
+static RESOLUTIONS: AtomicUsize = AtomicUsize::new(0);
 
 /// Cap on the auto-resolved worker count: intra-job chunks are
 /// memory-bandwidth bound well before 8 threads, and an uncapped default
@@ -65,10 +76,24 @@ pub fn set_intra_workers_auto() {
     INTRA_WORKERS.store(0, Ordering::Relaxed);
 }
 
+/// The machine's core count: `available_parallelism()` (1 if unknown),
+/// uncapped. Resolved on the first call and cached for the rest of the
+/// process, since each `available_parallelism()` call reads the cgroup
+/// files (tens of µs). Every default that follows the machine (the auto
+/// intra-job count, engine and serve pools, `--threads` defaults) reads
+/// this one value.
+pub fn machine_parallelism() -> usize {
+    *MACHINE_PARALLELISM.get_or_init(|| {
+        #[cfg(test)]
+        RESOLUTIONS.fetch_add(1, Ordering::Relaxed);
+        std::thread::available_parallelism().map_or(1, |n| n.get())
+    })
+}
+
 /// The worker count the auto default resolves to:
-/// `available_parallelism()` capped at [`MAX_AUTO_WORKERS`].
+/// [`machine_parallelism`] capped at [`MAX_AUTO_WORKERS`].
 pub fn auto_intra_workers() -> usize {
-    std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1).min(MAX_AUTO_WORKERS)
+    machine_parallelism().min(MAX_AUTO_WORKERS)
 }
 
 /// The configured intra-job worker count (auto default resolved).
@@ -125,11 +150,18 @@ pub fn chunk_ranges(len: usize, grain: usize) -> impl Iterator<Item = Range<usiz
 /// RNG draws); chunk-local accumulators (scratch buffers, chunk-local
 /// rejection collectors merged by the caller in chunk order) are the
 /// intended pattern. A panic in any chunk propagates to the caller.
+///
+/// A single-chunk input (`len <= grain`) runs as the serial loop on the
+/// calling thread: no worker count is read and no [`SerialGuard`] is
+/// installed. Only an input that would really split reads the knob.
 pub fn map_chunks<T, F>(len: usize, grain: usize, f: F) -> Vec<T>
 where
     T: Send,
     F: Fn(Range<usize>) -> T + Sync,
 {
+    if len <= grain.max(1) {
+        return chunk_ranges(len, grain).map(f).collect();
+    }
     map_chunks_with(effective_workers(), len, grain, || (), |(), r| f(r))
 }
 
@@ -209,12 +241,16 @@ where
 
 /// Applies `f` to every index of `0..len` and returns the results in
 /// index order — the parallel equivalent of `(0..len).map(f).collect()`,
-/// with the same determinism contract as [`map_chunks`].
+/// with the same determinism contract and single-chunk fast path as
+/// [`map_chunks`].
 pub fn map_indexed<T, F>(len: usize, grain: usize, f: F) -> Vec<T>
 where
     T: Send,
     F: Fn(usize) -> T + Sync,
 {
+    if len <= grain.max(1) {
+        return (0..len).map(f).collect();
+    }
     map_indexed_with(effective_workers(), len, grain, f)
 }
 
@@ -242,13 +278,28 @@ where
 mod tests {
     use super::*;
     use proptest::prelude::*;
+    use std::sync::{Mutex, MutexGuard};
 
-    /// Runs `f` with the global worker count set to `k`, restoring 1.
+    /// Serializes the tests that set the process-global knob.
+    static KNOB: Mutex<()> = Mutex::new(());
+
+    fn lock_knob() -> MutexGuard<'static, ()> {
+        KNOB.lock().unwrap_or_else(|e| e.into_inner())
+    }
+
+    /// Runs `f` with the global worker count set to `k`, restoring 1
+    /// (also when `f` panics) before the knob is released.
     fn with_workers<R>(k: usize, f: impl FnOnce() -> R) -> R {
+        struct Restore;
+        impl Drop for Restore {
+            fn drop(&mut self) {
+                set_intra_workers(1);
+            }
+        }
+        let _knob = lock_knob();
+        let _restore = Restore; // dropped first: reset, then release
         set_intra_workers(k);
-        let r = f();
-        set_intra_workers(1);
-        r
+        f()
     }
 
     #[test]
@@ -283,13 +334,47 @@ mod tests {
 
     #[test]
     fn auto_default_resolves_within_cap() {
-        // Never touches the global knob: the sentinel resolution and the
-        // cap are pure functions of the machine.
+        // The sentinel resolution and the cap are pure functions of the
+        // machine.
         let k = auto_intra_workers();
         assert!((1..=MAX_AUTO_WORKERS).contains(&k), "auto resolved to {k}");
+        assert_eq!(k, machine_parallelism().min(MAX_AUTO_WORKERS));
+        let _knob = lock_knob();
         set_intra_workers_auto();
         assert_eq!(intra_workers(), k, "0 sentinel must resolve to auto");
         set_intra_workers(1);
+    }
+
+    #[test]
+    fn machine_parallelism_is_resolved_at_most_once() {
+        // Under auto, knob reads and single-chunk calls must all hit the
+        // cache: one n = 10^4 verify makes thousands of them, and each
+        // uncached read costs a cgroup file read.
+        let _knob = lock_knob();
+        set_intra_workers_auto();
+        let k = auto_intra_workers();
+        for i in 0..1000 {
+            assert_eq!(intra_workers(), k);
+            assert_eq!(effective_workers(), k);
+            assert_eq!(map_chunks(i % 64, 64, |r| r.len()).iter().sum::<usize>(), i % 64);
+            assert_eq!(map_indexed(i % 64, 64, |j| j).len(), i % 64);
+        }
+        set_intra_workers(1);
+        let resolutions = RESOLUTIONS.load(Ordering::Relaxed);
+        assert!(resolutions <= 1, "core count resolved {resolutions} times");
+    }
+
+    #[test]
+    fn single_chunk_calls_run_unguarded_on_the_calling_thread() {
+        // A single chunk is the plain serial loop: no guard is installed,
+        // so the depth its closure sees is the caller's.
+        let caller = std::thread::current().id();
+        let depths = map_chunks(10, 10, |_| {
+            assert_eq!(std::thread::current().id(), caller);
+            SERIAL_DEPTH.with(|d| d.get())
+        });
+        assert_eq!(depths, vec![0]);
+        assert_eq!(map_indexed(3, 8, |_| SERIAL_DEPTH.with(|d| d.get())), vec![0; 3]);
     }
 
     #[test]
@@ -341,7 +426,6 @@ mod tests {
             })
         });
         assert!(caught.is_err());
-        set_intra_workers(1);
     }
 
     proptest! {

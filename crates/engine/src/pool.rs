@@ -19,7 +19,6 @@ use pdip_obs::{counter, span, BufferedRecorder, Recorder, SpanId};
 use std::collections::HashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Mutex;
-use std::thread;
 use std::time::Instant;
 
 /// Cache capacity per worker; on overflow the cache is cleared wholesale
@@ -100,7 +99,7 @@ pub struct Engine {
 
 impl Default for Engine {
     fn default() -> Self {
-        Engine { threads: thread::available_parallelism().map(|n| n.get()).unwrap_or(1) }
+        Engine { threads: pdip_core::par::machine_parallelism() }
     }
 }
 

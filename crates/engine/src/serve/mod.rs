@@ -42,7 +42,6 @@ use pdip_wire::{fnv1a64, Transcript, VerifyOutcome};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
-use std::thread;
 use std::time::{Duration, Instant};
 
 pub use live::{serve_concurrent, serve_pipe, serve_tcp, spawn_server, ServerHandle, ShutdownFlag};
@@ -207,7 +206,7 @@ pub struct ServeConfig {
 impl Default for ServeConfig {
     fn default() -> Self {
         ServeConfig {
-            threads: thread::available_parallelism().map(|n| n.get()).unwrap_or(1),
+            threads: pdip_core::par::machine_parallelism(),
             queue_cap: 256,
             deadline: None,
             max_frame_bytes: MAX_FRAME,

@@ -153,7 +153,7 @@ impl Fp {
     ///
     /// This is the pre-Montgomery implementation, kept as the baseline
     /// for differential tests (`tests/differential.rs`) and for the
-    /// speedup measurement of `pdip bench-hotpath`.
+    /// speedup measurement of `pdip exp bench-hotpath`.
     pub fn mul_naive(&self, a: u64, b: u64) -> u64 {
         let (a, b) = (self.reduce(a), self.reduce(b));
         ((a as u128 * b as u128) % self.p as u128) as u64

@@ -22,7 +22,7 @@ pub fn multiset_poly_eval(f: &Fp, s: impl IntoIterator<Item = u64>, z: u64) -> u
 
 /// Reference evaluation of `φ_S(z)` through [`Fp::mul_naive`] (one
 /// `u128` hardware remainder per element) — the differential-test and
-/// `pdip bench-hotpath` baseline.
+/// `pdip exp bench-hotpath` baseline.
 pub fn multiset_poly_eval_naive(f: &Fp, s: impl IntoIterator<Item = u64>, z: u64) -> u64 {
     let z = f.reduce(z);
     let mut acc = 1u64;

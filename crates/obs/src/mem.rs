@@ -8,7 +8,7 @@
 //! * [`PeakAlloc`] wraps the system allocator and tracks live and peak
 //!   heap bytes. The peak is *resettable* ([`reset_peak`]), so a driver
 //!   can measure each grid row in isolation — that per-row peak is what
-//!   the sublinearity gate in `pdip scale` asserts on. The binary opts in
+//!   the sublinearity gate in `pdip exp e11` asserts on. The binary opts in
 //!   with `#[global_allocator]`; library code only reads the counters,
 //!   which report `None`-equivalent zeros when no wrapper is installed
 //!   ([`alloc_installed`] tells the two apart).

@@ -78,7 +78,7 @@ pub enum PopCheat {
 /// chunk amortizes its thread hand-off, fine enough that n = 10⁵ still
 /// splits across every worker. The grid depends only on `n` and this
 /// constant, never on the worker count (see `pdip_core::par`).
-const PAR_GRAIN: usize = 8192;
+pub const PAR_GRAIN: usize = 8192;
 
 /// All cheats, in [`PathOuterplanarity::cheat_names`] order.
 pub const POP_CHEATS: [PopCheat; 4] = [

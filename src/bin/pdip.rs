@@ -54,7 +54,7 @@ use pdip_engine::{no_instance, Family, YesInstance, FAMILIES};
 static ALLOC: pdip_obs::PeakAlloc = pdip_obs::PeakAlloc::new();
 use pdip_engine::{Engine, Prover, ProverSpec, Reporter, SeedMode, ServeConfig, SweepSpec};
 use pdip_obs::NoopRecorder;
-use planarity_dip::dip::DipProtocol;
+use planarity_dip::dip::{par, DipProtocol};
 use planarity_dip::protocols::{Amplified, PopParams, Transport};
 use planarity_dip::wire::{Transcript, VerifyOutcome, WireInstance};
 
@@ -327,9 +327,7 @@ fn main() {
                 n *= 2;
             }
             sizes.push(n_to);
-            let threads = flag_num(&args, "--threads", {
-                std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1)
-            });
+            let threads = flag_num(&args, "--threads", par::machine_parallelism());
             let provers = if args.iter().any(|a| a == "--honest-only") {
                 vec![ProverSpec::Honest]
             } else {
@@ -474,9 +472,7 @@ fn main() {
                 std::process::exit(2);
             }
             let cfg = ServeConfig {
-                threads: flag_num(&args, "--threads", {
-                    std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1)
-                }),
+                threads: flag_num(&args, "--threads", par::machine_parallelism()),
                 queue_cap: flag_num(&args, "--queue", 256),
                 deadline: flag_ms(&args, "--deadline-ms"),
                 max_frame_bytes,
