@@ -12,8 +12,8 @@
 use super::{threads, Opts, Output};
 use pdip_core::DipProtocol;
 use pdip_engine::{
-    Engine, Family, JobCoords, Prover, ProverSpec, Reporter, SeedMode, SweepOutcome, SweepSpec,
-    YesInstance, FAMILIES,
+    Engine, Family, Instance, JobCoords, Prover, ProverSpec, Reporter, SeedMode, SweepOutcome,
+    SweepSpec, FAMILIES,
 };
 use pdip_graph::gen;
 use pdip_obs::NoopRecorder;
@@ -367,7 +367,7 @@ pub fn e4(_: &Opts) -> Output {
         (Family::SeriesParallel, "nesting per ear (Lem 8.1 decomposition)"),
         (Family::Treewidth2, "series-parallel per block (Lem 8.2)"),
     ] {
-        let inst = YesInstance::generate(fam, n, 1234);
+        let inst = Instance::generate(fam, n, 1234);
         let (ok, size) = inst.with_protocol(PopParams::default(), Transport::Native, |p| {
             let r = p.run_honest(2);
             (r.accepted(), r.stats.proof_size())

@@ -26,7 +26,7 @@
 //! §1.1.
 
 use crate::snapshot::{time_ns, Entry};
-use pdip_engine::{Family, YesInstance};
+use pdip_engine::{Family, Instance};
 use pdip_graph::gen::planar::random_planar;
 use pdip_graph::{
     is_planar_with, reset_thread_scratch, BiconnectedComponents, Graph, NaiveAdjacency, NodeId,
@@ -187,7 +187,7 @@ pub fn run_graphbench(cfg: &GraphBenchConfig) -> Vec<Entry> {
 
         // 5. One full honest planarity-protocol round on a cached
         //    instance: warm thread scratch vs reset-per-call.
-        let yes = YesInstance::generate(Family::Planarity, n, 21);
+        let yes = Instance::generate(Family::Planarity, n, 21);
         let round = || {
             yes.with_protocol(PopParams::default(), Transport::Native, |p| {
                 black_box(p.run_honest(5).accepted());

@@ -22,7 +22,7 @@
 //! `tests/bench_round_freshness.rs`.
 
 use crate::snapshot::{time_ns, Entry, StageRow};
-use pdip_engine::{Family, YesInstance};
+use pdip_engine::{Family, Instance};
 use pdip_obs::Recorder;
 use pdip_protocols::{PopParams, Transport};
 use std::hint::black_box;
@@ -141,7 +141,7 @@ pub fn run_roundbench(cfg: &RoundBenchConfig) -> (Vec<Entry>, Vec<StageRow>) {
     for &n in &cfg.sizes {
         // Larger sizes get fewer samples, mirroring bench-graph.
         let samples = if n >= 100_000 { cfg.samples.min(2) } else { cfg.samples };
-        let yes = YesInstance::generate(Family::Planarity, n, 21);
+        let yes = Instance::generate(Family::Planarity, n, 21);
         let round = || {
             yes.with_protocol(PopParams::default(), Transport::Native, |p| {
                 black_box(p.run_honest(5).accepted());

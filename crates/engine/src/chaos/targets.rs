@@ -23,9 +23,9 @@
 //! without panicking; the harness treats a panic as a failed audit.
 
 use super::{Determinism, Mutator, MutatorKind, TamperOutcome, Tamperable};
-use crate::family::{Family, YesInstance};
+use crate::family::{Family, Instance};
 use crate::seed::sub_seed;
-use pdip_core::{bits_for_domain, DipProtocol, Rejections};
+use pdip_core::{bits_for_domain, Rejections};
 use pdip_field::{smallest_prime_above, Fp};
 use pdip_graph::gen;
 use pdip_graph::gen::lr::LrInstance;
@@ -617,7 +617,7 @@ impl Tamperable for LrSortingTarget {
 /// end to end.
 struct DerivedTarget {
     id: TargetId,
-    inst: YesInstance,
+    inst: Instance,
     params: PopParams,
 }
 
@@ -632,7 +632,7 @@ impl DerivedTarget {
             TargetId::Treewidth2 => Family::Treewidth2,
             _ => unreachable!("DerivedTarget::new on a primitive target"),
         };
-        let inst = YesInstance::generate(family, n, gen_seed);
+        let inst = Instance::generate(family, n, gen_seed);
         DerivedTarget { id, inst, params: PopParams::default() }
     }
 }
@@ -732,9 +732,11 @@ impl Tamperable for DerivedTarget {
 
     fn run_mutated(&self, kind: MutatorKind, seed: u64) -> TamperOutcome {
         let (mut m, run_seed, _) = streams(seed);
-        match &self.inst {
+        // Each arm yields the mutated instance and the prover to run on
+        // it (`None` = honest, `Some(k)` = cheat strategy `k`).
+        let (mutated, cheat) = match &self.inst {
             // Theorem 1.2: corrupt the committed Hamiltonian path.
-            YesInstance::Pop(inst) => {
+            Instance::Pop(inst) => {
                 let Some(path) = inst.witness.as_ref() else {
                     return TamperOutcome::Unchanged;
                 };
@@ -773,18 +775,11 @@ impl Tamperable for DerivedTarget {
                     // wrap-around is an edge): a semantic no-op.
                     return TamperOutcome::Unchanged;
                 }
-                let mutated = PopInstance {
-                    graph: inst.graph.clone(),
-                    witness: Some(p),
-                    is_yes: inst.is_yes,
-                };
-                classify(
-                    PathOuterplanarity::new(&mutated, self.params, Transport::Native)
-                        .run_honest(run_seed),
-                )
+                let graph = inst.graph.clone();
+                (Instance::Pop(PopInstance { graph, witness: Some(p), is_yes: inst.is_yes }), None)
             }
             // Theorem 1.3: push the instance out of the family.
-            YesInstance::Op(inst) => {
+            Instance::Op(inst) => {
                 let g2 = match kind {
                     MutatorKind::BitFlip => add_chord(&inst.graph, &mut m),
                     MutatorKind::LabelSwap => rewire_edge(&inst.graph, &mut m),
@@ -794,16 +789,12 @@ impl Tamperable for DerivedTarget {
                 if is_outerplanar(&g2) {
                     return TamperOutcome::Unchanged;
                 }
-                let mutated = OpInstance { graph: g2, is_yes: false };
                 // BlockHonestSweep: honest labels inside the now-bad
                 // block — the pure soundness question.
-                classify(
-                    Outerplanarity::new(&mutated, self.params, Transport::Native)
-                        .run_cheat(1, run_seed),
-                )
+                (Instance::Op(OpInstance { graph: g2, is_yes: false }), Some(1))
             }
             // Theorem 1.4: corrupt the input rotation system.
-            YesInstance::Emb(inst) => {
+            Instance::Emb(inst) => {
                 let adjacent = matches!(kind, MutatorKind::BitFlip);
                 let Some(rho) = mutate_rotation(&inst.graph, &inst.rho, adjacent, &mut m) else {
                     return TamperOutcome::Unchanged;
@@ -811,15 +802,12 @@ impl Tamperable for DerivedTarget {
                 if rho.is_planar_embedding(&inst.graph) {
                     return TamperOutcome::Unchanged;
                 }
-                let mutated = EmbInstance { graph: inst.graph.clone(), rho, is_yes: false };
                 // HonestSweep: honest labels on the crossing embedding.
-                classify(
-                    EmbeddedPlanarity::new(&mutated, self.params, Transport::Native)
-                        .run_cheat(0, run_seed),
-                )
+                let graph = inst.graph.clone();
+                (Instance::Emb(EmbInstance { graph, rho, is_yes: false }), Some(0))
             }
             // Theorem 1.5: corrupt the prover's witness embedding.
-            YesInstance::Pl(inst) => {
+            Instance::Pl(inst) => {
                 let Some(w) = inst.witness_rho.as_ref() else {
                     return TamperOutcome::Unchanged;
                 };
@@ -830,19 +818,16 @@ impl Tamperable for DerivedTarget {
                 if rho.is_planar_embedding(&inst.graph) {
                     return TamperOutcome::Unchanged;
                 }
-                let mutated = PlInstance {
-                    graph: inst.graph.clone(),
-                    witness_rho: Some(rho),
-                    is_yes: inst.is_yes,
-                };
                 // Honest run: the prover distributes the corrupted
                 // witness and plays everything else straight.
-                classify(
-                    Planarity::new(&mutated, self.params, Transport::Native).run_honest(run_seed),
+                let graph = inst.graph.clone();
+                (
+                    Instance::Pl(PlInstance { graph, witness_rho: Some(rho), is_yes: inst.is_yes }),
+                    None,
                 )
             }
             // Theorem 1.6: push the instance out of the family.
-            YesInstance::Spa(inst) => {
+            Instance::Spa(inst) => {
                 let g2 = match kind {
                     MutatorKind::BitFlip => add_chord(&inst.graph, &mut m),
                     MutatorKind::LabelSwap => rewire_edge(&inst.graph, &mut m),
@@ -852,15 +837,11 @@ impl Tamperable for DerivedTarget {
                 if is_series_parallel(&g2) {
                     return TamperOutcome::Unchanged;
                 }
-                let mutated = SpaInstance { graph: g2, is_yes: false };
                 // HideExtraEdges: remove-until-SP + disguised ears.
-                classify(
-                    SeriesParallel::new(&mutated, self.params, Transport::Native)
-                        .run_cheat(0, run_seed),
-                )
+                (Instance::Spa(SpaInstance { graph: g2, is_yes: false }), Some(0))
             }
             // Theorem 1.7: push the instance out of the family.
-            YesInstance::Tw2(inst) => {
+            Instance::Tw2(inst) => {
                 let g2 = match kind {
                     MutatorKind::BitFlip => add_chord(&inst.graph, &mut m),
                     MutatorKind::LabelSwap => rewire_edge(&inst.graph, &mut m),
@@ -870,13 +851,13 @@ impl Tamperable for DerivedTarget {
                 if is_treewidth_at_most_2(&g2) {
                     return TamperOutcome::Unchanged;
                 }
-                let mutated = Tw2Instance { graph: g2, is_yes: false };
-                classify(
-                    Treewidth2::new(&mutated, self.params, Transport::Native)
-                        .run_cheat(0, run_seed),
-                )
+                (Instance::Tw2(Tw2Instance { graph: g2, is_yes: false }), Some(0))
             }
-        }
+        };
+        classify(mutated.with_protocol(self.params, Transport::Native, |p| match cheat {
+            None => p.run_honest(run_seed),
+            Some(k) => p.run_cheat(k, run_seed),
+        }))
     }
 }
 

@@ -45,7 +45,6 @@
 
 pub mod chaos;
 pub mod client;
-pub mod family;
 pub mod obs_audit;
 pub mod pool;
 pub mod record;
@@ -65,10 +64,14 @@ pub use chaos::{
 pub use client::{
     backoff_delay_ms, fetch_stats, run_client, stats_detail_to_json, ClientOpts, ClientOutcome,
 };
-pub use family::{no_instance, no_instance_with, Family, YesInstance, FAMILIES};
 pub use obs_audit::{
     metrics_determinism_probe, run_obs_audit, MetricsProbe, ObsAuditReport, ObsAuditSpec, E14_SEED,
 };
+pub use pdip_protocols::family;
+/// The former name of [`Instance`], kept because the benchmark harness
+/// under `perfbench/` imports it.
+pub use pdip_protocols::family::Instance as YesInstance;
+pub use pdip_protocols::family::{no_instance, no_instance_with, Family, Instance, FAMILIES};
 pub use pool::{execute_job, Engine, WorkerScratch};
 pub use record::{
     CellAgg, CellKey, FailureKind, JobFailure, RunRecord, SweepMetrics, SweepOutcome,

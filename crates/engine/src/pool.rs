@@ -9,7 +9,7 @@
 //! everything folded from them — are byte-identical for any worker
 //! count.
 
-use crate::family::{no_instance_with, Family, YesInstance};
+use crate::family::{no_instance_with, Family, Instance};
 use crate::record::{FailureKind, JobFailure, RunRecord, SweepMetrics, SweepOutcome};
 use crate::seed::{labels, sub_seed};
 use crate::spec::{JobSpec, Prover, SweepSpec};
@@ -31,15 +31,15 @@ const SCRATCH_CAP: usize = 256;
 /// Sweep grids with explicit seed functions (E3-style soundness grids)
 /// re-generate the *same* instance for every cheat strategy and every
 /// retry; caching it per worker removes that regeneration from the hot
-/// path. Because [`YesInstance::generate`] / [`no_instance`] are pure
-/// functions of the key, a cache hit returns a byte-identical instance
-/// and the engine's determinism guarantee is untouched — records are
-/// the same whether the scratch is cold, warm, or shared with other
-/// jobs. Each worker thread owns one arena for its whole drain of the
-/// job queue.
+/// path. Because [`Instance::generate`] /
+/// [`no_instance`](crate::no_instance) are pure functions of the key, a
+/// cache hit returns a byte-identical instance and the engine's
+/// determinism guarantee is untouched — records are the same whether the
+/// scratch is cold, warm, or shared with other jobs. Each worker thread
+/// owns one arena for its whole drain of the job queue.
 #[derive(Default)]
 pub struct WorkerScratch {
-    cache: HashMap<(Family, usize, bool, u64), YesInstance>,
+    cache: HashMap<(Family, usize, bool, u64), Instance>,
     /// Graph-side traversal buffers (visited epochs, BFS/DFS stacks, LR
     /// arena) reused by every instance generation this worker performs,
     /// so repeated sweep jobs do no graph-side allocation after warmup.
@@ -66,7 +66,7 @@ impl WorkerScratch {
 
     /// The instance for `(family, n, yes, gen_seed)`, generated on first
     /// use and reused on every later request with the same key.
-    pub fn instance(&mut self, family: Family, n: usize, yes: bool, gen_seed: u64) -> &YesInstance {
+    pub fn instance(&mut self, family: Family, n: usize, yes: bool, gen_seed: u64) -> &Instance {
         let key = (family, n, yes, gen_seed);
         if self.cache.len() >= SCRATCH_CAP && !self.cache.contains_key(&key) {
             self.cache.clear();
@@ -80,7 +80,7 @@ impl WorkerScratch {
             std::collections::hash_map::Entry::Vacant(e) => {
                 *misses += 1;
                 e.insert(if yes {
-                    YesInstance::generate_with(family, n, gen_seed, traversal)
+                    Instance::generate_with(family, n, gen_seed, traversal)
                 } else {
                     no_instance_with(family, n, gen_seed, traversal)
                 })

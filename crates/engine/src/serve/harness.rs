@@ -69,13 +69,8 @@ pub(crate) fn read_responses(stream: &mut TcpStream, n: usize) -> Result<Vec<Res
 
 /// A small honest transcript blob (accepts under replay).
 pub(crate) fn honest_blob(seed: u64) -> Vec<u8> {
-    use crate::family::{Family, YesInstance};
-    use pdip_protocols::{PopParams, Transport};
-    use pdip_wire::WireInstance;
-    let inst = match YesInstance::generate(Family::PathOuterplanar, 16, seed) {
-        YesInstance::Pop(i) => WireInstance::Pop(i),
-        _ => unreachable!("PathOuterplanar generates Pop"),
-    };
+    use pdip_protocols::{Family, Instance, PopParams, Transport};
+    let inst = Instance::generate(Family::PathOuterplanar, 16, seed);
     pdip_wire::Transcript::record(
         inst,
         PopParams::default(),

@@ -438,18 +438,8 @@ pub struct ServeSmokeReport {
 /// chaos-corrupted blobs (malformed). ≥ 100 requests total.
 pub fn smoke_requests(base_seed: u64) -> Vec<(u64, Vec<u8>)> {
     use crate::chaos::Mutator;
-    use crate::family::{no_instance, YesInstance, FAMILIES};
-    use pdip_protocols::{PopParams, Transport};
-    use pdip_wire::WireInstance;
+    use pdip_protocols::{no_instance, Instance, PopParams, Transport, FAMILIES};
 
-    let to_wire = |inst: YesInstance| match inst {
-        YesInstance::Pop(i) => WireInstance::Pop(i),
-        YesInstance::Op(i) => WireInstance::Op(i),
-        YesInstance::Emb(i) => WireInstance::Emb(i),
-        YesInstance::Pl(i) => WireInstance::Pl(i),
-        YesInstance::Spa(i) => WireInstance::Spa(i),
-        YesInstance::Tw2(i) => WireInstance::Tw2(i),
-    };
     let mut blobs: Vec<Vec<u8>> = Vec::new();
     // Honest accepts: 6 families × 2 sizes × 2 trials = 24.
     for (fi, fam) in FAMILIES.iter().enumerate() {
@@ -457,7 +447,7 @@ pub fn smoke_requests(base_seed: u64) -> Vec<(u64, Vec<u8>)> {
             for trial in 0..2u64 {
                 let gen_seed = base_seed + (fi as u64) * 100 + (ni as u64) * 10 + trial;
                 let run_seed = gen_seed ^ 0x5eed;
-                let inst = to_wire(YesInstance::generate(*fam, *n, gen_seed));
+                let inst = Instance::generate(*fam, *n, gen_seed);
                 let t = pdip_wire::Transcript::record(
                     inst,
                     PopParams::default(),
@@ -473,7 +463,7 @@ pub fn smoke_requests(base_seed: u64) -> Vec<(u64, Vec<u8>)> {
     // Cheat provers on no-instances: 6 families × every strategy ≈ 22.
     for (fi, fam) in FAMILIES.iter().enumerate() {
         let gen_seed = base_seed + 7000 + fi as u64;
-        let inst = to_wire(no_instance(*fam, 32, gen_seed));
+        let inst = no_instance(*fam, 32, gen_seed);
         for strategy in 0..inst.cheat_count() {
             let t = pdip_wire::Transcript::record(
                 inst.clone(),

@@ -34,6 +34,7 @@ use pdip_obs::{
     AtomicHistogram, Counter, Event, EventKind, FlightRecorder, Gauge, MetricsRegistry,
     MetricsSnapshot, Recorder,
 };
+use pdip_protocols::FAMILIES;
 use pdip_wire::frame::fault;
 use std::path::PathBuf;
 use std::sync::Arc;
@@ -104,10 +105,11 @@ impl ServeObs {
                 (class, registry.counter(&format!("conn_faults_total{{class=\"{class}\"}}")))
             })
             .collect();
-        let family_counters = (1u8..=6)
-            .filter_map(pdip_wire::family_name)
+        let family_counters = FAMILIES
+            .iter()
             .map(|fam| {
-                (fam, registry.counter(&format!("proof_size_bits_total{{family=\"{fam}\"}}")))
+                let name = fam.name();
+                (name, registry.counter(&format!("proof_size_bits_total{{family=\"{name}\"}}")))
             })
             .collect();
         let latency_hists = [

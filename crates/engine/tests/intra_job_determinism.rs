@@ -8,7 +8,7 @@
 //! so across-job parallelism composes with the knob without nesting.
 
 use pdip_core::{par, RunResult};
-use pdip_engine::{aggregate_json, Engine, Family, ProverSpec, SweepSpec, YesInstance};
+use pdip_engine::{aggregate_json, Engine, Family, Instance, ProverSpec, SweepSpec};
 use pdip_obs::NoopRecorder;
 use pdip_protocols::path_outerplanar::PAR_GRAIN;
 use pdip_protocols::replay::{capture_run, diff_transcripts};
@@ -31,7 +31,7 @@ fn render(res: &RunResult) -> String {
 /// Runs the honest prover and every cheat on `inst` at 1, 2 and 4
 /// intra-job workers, asserts that results and transcripts are
 /// byte-identical, and returns the 1-worker results (honest first).
-fn assert_worker_invariant(family: Family, inst: &YesInstance) -> Vec<RunResult> {
+fn assert_worker_invariant(family: Family, inst: &Instance) -> Vec<RunResult> {
     inst.with_protocol(PopParams::default(), Transport::Native, |p| {
         // Honest run plus every cheat: the cheats exercise the
         // rejection paths, whose order must also be chunk-invariant.
@@ -69,7 +69,7 @@ fn round_transcripts_identical_at_worker_counts_1_2_4() {
     // round runs them directly; embedded planarity adds the reduction
     // (arena-backed) in front; planarity adds rotation recovery.
     for family in [Family::PathOuterplanar, Family::EmbeddedPlanarity, Family::Planarity] {
-        assert_worker_invariant(family, &YesInstance::generate(family, 600, 0xA11CE));
+        assert_worker_invariant(family, &Instance::generate(family, 600, 0xA11CE));
     }
 }
 
@@ -80,8 +80,8 @@ fn split_round_identical_at_worker_counts_1_2_4() {
     // changes how they run. This instance spans at least three chunks of
     // the round's grid, so 2 and 4 workers really split every per-node
     // loop and merge the chunks back in order.
-    let inst = YesInstance::generate(Family::PathOuterplanar, 2 * PAR_GRAIN + 1, 0xA11CE);
-    let YesInstance::Pop(pop) = &inst else { unreachable!("a path-outerplanarity instance") };
+    let inst = Instance::generate(Family::PathOuterplanar, 2 * PAR_GRAIN + 1, 0xA11CE);
+    let Instance::Pop(pop) = &inst else { unreachable!("a path-outerplanarity instance") };
     let chunks = par::chunk_ranges(pop.graph.n(), PAR_GRAIN).count();
     assert!(chunks >= 3, "n = {} is only {chunks} chunk(s)", pop.graph.n());
     let results = assert_worker_invariant(Family::PathOuterplanar, &inst);

@@ -7,12 +7,11 @@
 
 use pdip_engine::chaos::Mutator;
 use pdip_engine::{
-    decode_response, read_frame, spawn_server, write_frame, Gate, Response, ServeConfig, Status,
-    YesInstance,
+    decode_response, read_frame, spawn_server, write_frame, Gate, Instance, Response, ServeConfig,
+    Status,
 };
 use pdip_engine::{Family, E13_SEED};
 use pdip_protocols::{PopParams, Transport};
-use pdip_wire::WireInstance;
 use std::io::Write;
 use std::net::TcpStream;
 use std::time::{Duration, Instant};
@@ -22,10 +21,7 @@ const REQ_PING: u8 = 0x02;
 const REQ_SHUTDOWN: u8 = 0x7f;
 
 fn honest_blob(seed: u64) -> Vec<u8> {
-    let inst = match YesInstance::generate(Family::PathOuterplanar, 16, seed) {
-        YesInstance::Pop(i) => WireInstance::Pop(i),
-        _ => unreachable!(),
-    };
+    let inst = Instance::generate(Family::PathOuterplanar, 16, seed);
     pdip_wire::Transcript::record(
         inst,
         PopParams::default(),

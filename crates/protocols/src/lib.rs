@@ -15,6 +15,7 @@
 pub mod amplify;
 pub mod edge_labels;
 pub mod embedded_planarity;
+pub mod family;
 pub mod forest_code;
 pub mod lower_bound;
 pub mod lr_sorting;
@@ -35,6 +36,7 @@ pub use edge_labels::EdgeLabelCarrier;
 pub use embedded_planarity::{
     build_reduction, EmbCheat, EmbInstance, EmbeddedPlanarity, Reduction, EMB_CHEATS,
 };
+pub use family::{no_instance, no_instance_with, Family, Instance, FAMILIES};
 pub use forest_code::{decode_children, decode_parent, ForestCode, ForestCodeLabel};
 pub use lr_sorting::{LrCheat, LrParams, LrSorting, Transport, LR_CHEATS};
 pub use multiset_eq::{MsMsg, MultisetEq};

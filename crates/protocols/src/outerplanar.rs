@@ -64,10 +64,7 @@ pub struct Outerplanarity<'a> {
 impl<'a> Outerplanarity<'a> {
     /// Binds the protocol to an instance.
     pub fn new(inst: &'a OpInstance, params: PopParams, transport: Transport) -> Self {
-        let n = inst.graph.n().max(4);
-        let loglog = ((n as f64).log2()).log2().ceil() as usize;
-        let tag_bits = ((params.c as usize) * loglog + 4).min(60);
-        Outerplanarity { inst, params, transport, tag_bits }
+        Outerplanarity { inst, params, transport, tag_bits: params.tag_bits(inst.graph.n()) }
     }
 
     fn g(&self) -> &Graph {
@@ -333,10 +330,6 @@ fn block_hamiltonian_path(
             Some(s) if s == b => Some(vec![b, a]),
             _ => Some(vec![a, b]),
         };
-    }
-    let mut remap = std::collections::HashMap::new();
-    for (i, &v) in nodes.iter().enumerate() {
-        remap.insert(v, i);
     }
     let (h, map) = g.induced_subgraph(nodes);
     let cycle_local = outer_cycle(&h)?;

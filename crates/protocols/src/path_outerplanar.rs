@@ -50,6 +50,15 @@ pub struct PopParams {
     pub st_repetitions: usize,
 }
 
+impl PopParams {
+    /// Random-tag width for an `n`-node instance:
+    /// `c·⌈log₂ log₂ max(n, 4)⌉ + 4` bits, capped at 60.
+    pub fn tag_bits(&self, n: usize) -> usize {
+        let loglog = ((n.max(4) as f64).log2()).log2().ceil() as usize;
+        ((self.c as usize) * loglog + 4).min(60)
+    }
+}
+
 impl Default for PopParams {
     fn default() -> Self {
         PopParams { c: 3, st_repetitions: 2 }
@@ -100,10 +109,7 @@ pub struct PathOuterplanarity<'a> {
 impl<'a> PathOuterplanarity<'a> {
     /// Binds the protocol to an instance.
     pub fn new(inst: &'a PopInstance, params: PopParams, transport: Transport) -> Self {
-        let n = inst.graph.n().max(4);
-        let loglog = ((n as f64).log2()).log2().ceil() as usize;
-        let tag_bits = ((params.c as usize) * loglog + 4).min(60);
-        PathOuterplanarity { inst, params, transport, tag_bits }
+        PathOuterplanarity { inst, params, transport, tag_bits: params.tag_bits(inst.graph.n()) }
     }
 
     fn g(&self) -> &Graph {

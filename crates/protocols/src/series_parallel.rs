@@ -77,10 +77,7 @@ struct Commitment {
 impl<'a> SeriesParallel<'a> {
     /// Binds the protocol to an instance.
     pub fn new(inst: &'a SpaInstance, params: PopParams, transport: Transport) -> Self {
-        let n = inst.graph.n().max(4);
-        let loglog = ((n as f64).log2()).log2().ceil() as usize;
-        let tag_bits = ((params.c as usize) * loglog + 4).min(60);
-        SeriesParallel { inst, params, transport, tag_bits }
+        SeriesParallel { inst, params, transport, tag_bits: params.tag_bits(inst.graph.n()) }
     }
 
     fn g(&self) -> &Graph {

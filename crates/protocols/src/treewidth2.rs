@@ -51,10 +51,7 @@ pub struct Treewidth2<'a> {
 impl<'a> Treewidth2<'a> {
     /// Binds the protocol to an instance.
     pub fn new(inst: &'a Tw2Instance, params: PopParams, transport: Transport) -> Self {
-        let n = inst.graph.n().max(4);
-        let loglog = ((n as f64).log2()).log2().ceil() as usize;
-        let tag_bits = ((params.c as usize) * loglog + 4).min(60);
-        Treewidth2 { inst, params, transport, tag_bits }
+        Treewidth2 { inst, params, transport, tag_bits: params.tag_bits(inst.graph.n()) }
     }
 
     fn g(&self) -> &Graph {

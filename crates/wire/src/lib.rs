@@ -31,4 +31,7 @@ pub use frame::{
     fault, fault_class, read_frame, read_frame_deadline, read_frame_limited, write_frame,
     DEFAULT_MAX_FRAME_BYTES,
 };
-pub use transcript::{family_name, Transcript, VerifyOutcome, WireInstance};
+/// The former name of [`pdip_protocols::Instance`], kept because the
+/// benchmark harness under `perfbench/` imports it.
+pub use pdip_protocols::Instance as WireInstance;
+pub use transcript::{Transcript, VerifyOutcome};

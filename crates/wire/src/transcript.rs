@@ -8,14 +8,15 @@
 //! section 4 STATS   | section 5 VERDICT  | fnv1a64 trailer u64
 //! ```
 //!
-//! `family` tags the Theorem 1.2–1.7 protocol (1 = path-outerplanarity …
-//! 6 = treewidth-2), `prover` is 0 for the honest prover and `k` for
-//! cheat strategy `k − 1`, `transport` is 0 native / 1 simulated. META
-//! carries the protocol parameters and the run seed; INSTANCE the
-//! decoded-and-validated instance; ROUNDS the captured per-node label
-//! rounds (the same bit accounting the E10 trace audit sees); STATS and
-//! VERDICT the stored size accounting and outcome, which
-//! [`Transcript::verify`] cross-checks against the replay.
+//! `family` tags the Theorem 1.2–1.7 protocol ([`Family::tag`]:
+//! 1 = path-outerplanarity … 6 = treewidth-2), `prover` is 0 for the
+//! honest prover and `k` for cheat strategy `k − 1`, `transport` is 0
+//! native / 1 simulated. META carries the protocol parameters and the
+//! run seed; INSTANCE the decoded-and-validated instance; ROUNDS the
+//! captured per-node label rounds (the same bit accounting the E10 trace
+//! audit sees); STATS and VERDICT the stored size accounting and
+//! outcome, which [`Transcript::verify`] cross-checks against the
+//! replay.
 
 use crate::codec::{
     decode_connected_graph, decode_rho, decode_witness, encode_rho, encode_witness, Decode, Encode,
@@ -23,10 +24,8 @@ use crate::codec::{
 use crate::format::{checked_payload, Reader, WireError, Writer, FORMAT_VERSION, MAGIC};
 use pdip_core::{CapturedTranscript, DipProtocol, RunResult, SizeStats};
 use pdip_protocols::{
-    replay_verify, EmbInstance, EmbeddedPlanarity, OpInstance, Outerplanarity, PathOuterplanarity,
-    PlInstance, Planarity, PopInstance, PopParams, ReplayOutcome, SeriesParallel, SpaInstance,
-    Transport, Treewidth2, Tw2Instance, EMB_CHEATS, OP_CHEATS, PL_CHEATS, POP_CHEATS, SPA_CHEATS,
-    TW2_CHEATS,
+    replay_verify, EmbInstance, Family, Instance, OpInstance, PlInstance, PopInstance, PopParams,
+    ReplayOutcome, SpaInstance, Transport, Tw2Instance,
 };
 
 /// Section tags, in file order.
@@ -36,91 +35,6 @@ mod section {
     pub const ROUNDS: u8 = 3;
     pub const STATS: u8 = 4;
     pub const VERDICT: u8 = 5;
-}
-
-/// A bound instance of one of the six protocol families.
-#[derive(Debug, Clone)]
-pub enum WireInstance {
-    /// Theorem 1.2: path-outerplanarity.
-    Pop(PopInstance),
-    /// Theorem 1.3: outerplanarity.
-    Op(OpInstance),
-    /// Theorem 1.4: embedded planarity.
-    Emb(EmbInstance),
-    /// Theorem 1.5: planarity.
-    Pl(PlInstance),
-    /// Theorem 1.6: series-parallel graphs.
-    Spa(SpaInstance),
-    /// Theorem 1.7: treewidth ≤ 2.
-    Tw2(Tw2Instance),
-}
-
-impl WireInstance {
-    /// The wire family tag (1–6).
-    pub fn family_tag(&self) -> u8 {
-        match self {
-            WireInstance::Pop(_) => 1,
-            WireInstance::Op(_) => 2,
-            WireInstance::Emb(_) => 3,
-            WireInstance::Pl(_) => 4,
-            WireInstance::Spa(_) => 5,
-            WireInstance::Tw2(_) => 6,
-        }
-    }
-
-    /// The family's protocol name (matches `pdip run --family`).
-    pub fn family_name(&self) -> &'static str {
-        family_name(self.family_tag()).unwrap_or("?")
-    }
-
-    /// Number of nodes.
-    pub fn n(&self) -> usize {
-        match self {
-            WireInstance::Pop(i) => i.graph.n(),
-            WireInstance::Op(i) => i.graph.n(),
-            WireInstance::Emb(i) => i.graph.n(),
-            WireInstance::Pl(i) => i.graph.n(),
-            WireInstance::Spa(i) => i.graph.n(),
-            WireInstance::Tw2(i) => i.graph.n(),
-        }
-    }
-
-    /// Ground-truth yes/no of the stored instance.
-    pub fn is_yes(&self) -> bool {
-        match self {
-            WireInstance::Pop(i) => i.is_yes,
-            WireInstance::Op(i) => i.is_yes,
-            WireInstance::Emb(i) => i.is_yes,
-            WireInstance::Pl(i) => i.is_yes,
-            WireInstance::Spa(i) => i.is_yes,
-            WireInstance::Tw2(i) => i.is_yes,
-        }
-    }
-
-    /// Number of cheat strategies of this family.
-    pub fn cheat_count(&self) -> usize {
-        match self {
-            WireInstance::Pop(_) => POP_CHEATS.len(),
-            WireInstance::Op(_) => OP_CHEATS.len(),
-            WireInstance::Emb(_) => EMB_CHEATS.len(),
-            WireInstance::Pl(_) => PL_CHEATS.len(),
-            WireInstance::Spa(_) => SPA_CHEATS.len(),
-            WireInstance::Tw2(_) => TW2_CHEATS.len(),
-        }
-    }
-}
-
-/// The family name of a wire tag.
-pub fn family_name(tag: u8) -> Option<&'static str> {
-    Some(match tag {
-        1 => "path-outerplanarity",
-        2 => "outerplanarity",
-        3 => "embedded-planarity",
-        4 => "planarity",
-        5 => "series-parallel",
-        6 => "treewidth-2",
-        _ => return None,
-    })
 }
 
 /// A serialized DIP run: instance, prover identity, seeds, captured
@@ -140,7 +54,7 @@ pub struct Transcript {
     /// Seed of the run: the verifier's public coins derive from it.
     pub run_seed: u64,
     /// The bound instance.
-    pub instance: WireInstance,
+    pub instance: Instance,
     /// The captured per-node label rounds.
     pub rounds: CapturedTranscript,
     /// Stored size accounting of the run.
@@ -192,23 +106,14 @@ impl Transcript {
 
     /// Binds the stored instance to its protocol and calls `f`.
     pub fn with_protocol<R>(&self, f: impl FnOnce(&dyn DipProtocol) -> R) -> R {
-        let params = self.params();
-        let tr = self.transport_kind();
-        match &self.instance {
-            WireInstance::Pop(i) => f(&PathOuterplanarity::new(i, params, tr)),
-            WireInstance::Op(i) => f(&Outerplanarity::new(i, params, tr)),
-            WireInstance::Emb(i) => f(&EmbeddedPlanarity::new(i, params, tr)),
-            WireInstance::Pl(i) => f(&Planarity::new(i, params, tr)),
-            WireInstance::Spa(i) => f(&SeriesParallel::new(i, params, tr)),
-            WireInstance::Tw2(i) => f(&Treewidth2::new(i, params, tr)),
-        }
+        self.instance.with_protocol(self.params(), self.transport_kind(), f)
     }
 
     /// Runs the protocol on `instance` with the given prover and seed
     /// under a capture scope, producing the transcript to serialize.
     #[allow(clippy::too_many_arguments)]
     pub fn record(
-        instance: WireInstance,
+        instance: Instance,
         params: PopParams,
         transport: Transport,
         prover: u8,
@@ -243,7 +148,7 @@ impl Transcript {
         let mut w = Writer::new();
         w.put_bytes(&MAGIC);
         w.put_u16(FORMAT_VERSION);
-        w.put_u8(self.instance.family_tag());
+        w.put_u8(self.instance.family().tag());
         w.put_u8(self.prover);
         w.put_u8(self.transport);
 
@@ -256,40 +161,19 @@ impl Transcript {
         w.put_section(section::META, &meta.into_bytes());
 
         let mut inst = Writer::new();
+        self.instance.graph().encode(&mut inst);
+        inst.put_bool(self.instance.is_yes());
         match &self.instance {
-            WireInstance::Pop(i) => {
-                i.graph.encode(&mut inst);
-                inst.put_bool(i.is_yes);
-                encode_witness(&mut inst, &i.witness);
-            }
-            WireInstance::Op(i) => {
-                i.graph.encode(&mut inst);
-                inst.put_bool(i.is_yes);
-            }
-            WireInstance::Emb(i) => {
-                i.graph.encode(&mut inst);
-                inst.put_bool(i.is_yes);
-                encode_rho(&mut inst, &i.graph, &i.rho);
-            }
-            WireInstance::Pl(i) => {
-                i.graph.encode(&mut inst);
-                inst.put_bool(i.is_yes);
-                match &i.witness_rho {
-                    None => inst.put_bool(false),
-                    Some(rho) => {
-                        inst.put_bool(true);
-                        encode_rho(&mut inst, &i.graph, rho);
-                    }
+            Instance::Pop(i) => encode_witness(&mut inst, &i.witness),
+            Instance::Emb(i) => encode_rho(&mut inst, &i.graph, &i.rho),
+            Instance::Pl(i) => match &i.witness_rho {
+                None => inst.put_bool(false),
+                Some(rho) => {
+                    inst.put_bool(true);
+                    encode_rho(&mut inst, &i.graph, rho);
                 }
-            }
-            WireInstance::Spa(i) => {
-                i.graph.encode(&mut inst);
-                inst.put_bool(i.is_yes);
-            }
-            WireInstance::Tw2(i) => {
-                i.graph.encode(&mut inst);
-                inst.put_bool(i.is_yes);
-            }
+            },
+            Instance::Op(_) | Instance::Spa(_) | Instance::Tw2(_) => {}
         }
         w.put_section(section::INSTANCE, &inst.into_bytes());
 
@@ -321,10 +205,9 @@ impl Transcript {
         if version != FORMAT_VERSION {
             return Err(WireError::UnsupportedVersion(version));
         }
-        let family = r.u8()?;
-        if family_name(family).is_none() {
-            return Err(WireError::Invalid(format!("unknown family tag {family}")));
-        }
+        let tag = r.u8()?;
+        let family = Family::from_tag(tag)
+            .ok_or_else(|| WireError::Invalid(format!("unknown family tag {tag}")))?;
         let prover = r.u8()?;
         let transport = r.u8()?;
         if transport > 1 {
@@ -342,41 +225,25 @@ impl Transcript {
         let run_seed = meta.u64()?;
 
         let mut inst = r.section(section::INSTANCE)?;
+        let graph = decode_connected_graph(&mut inst)?;
+        let is_yes = inst.bool()?;
         let instance = match family {
-            1 => {
-                let graph = decode_connected_graph(&mut inst)?;
-                let is_yes = inst.bool()?;
+            Family::PathOuterplanar => {
                 let witness = decode_witness(&mut inst, graph.n())?;
-                WireInstance::Pop(PopInstance { graph, witness, is_yes })
+                Instance::Pop(PopInstance { graph, witness, is_yes })
             }
-            2 => {
-                let graph = decode_connected_graph(&mut inst)?;
-                let is_yes = inst.bool()?;
-                WireInstance::Op(OpInstance { graph, is_yes })
-            }
-            3 => {
-                let graph = decode_connected_graph(&mut inst)?;
-                let is_yes = inst.bool()?;
+            Family::Outerplanar => Instance::Op(OpInstance { graph, is_yes }),
+            Family::EmbeddedPlanarity => {
                 let rho = decode_rho(&mut inst, &graph)?;
-                WireInstance::Emb(EmbInstance { graph, rho, is_yes })
+                Instance::Emb(EmbInstance { graph, rho, is_yes })
             }
-            4 => {
-                let graph = decode_connected_graph(&mut inst)?;
-                let is_yes = inst.bool()?;
+            Family::Planarity => {
                 let witness_rho =
                     if inst.bool()? { Some(decode_rho(&mut inst, &graph)?) } else { None };
-                WireInstance::Pl(PlInstance { graph, witness_rho, is_yes })
+                Instance::Pl(PlInstance { graph, witness_rho, is_yes })
             }
-            5 => {
-                let graph = decode_connected_graph(&mut inst)?;
-                let is_yes = inst.bool()?;
-                WireInstance::Spa(SpaInstance { graph, is_yes })
-            }
-            _ => {
-                let graph = decode_connected_graph(&mut inst)?;
-                let is_yes = inst.bool()?;
-                WireInstance::Tw2(Tw2Instance { graph, is_yes })
-            }
+            Family::SeriesParallel => Instance::Spa(SpaInstance { graph, is_yes }),
+            Family::Treewidth2 => Instance::Tw2(Tw2Instance { graph, is_yes }),
         };
         if !inst.is_exhausted() {
             return Err(WireError::Invalid("trailing bytes in instance section".into()));
@@ -471,11 +338,8 @@ mod tests {
     fn pop_transcript(seed: u64) -> Transcript {
         let n = 20;
         let g = Graph::from_edges(n, (0..n - 1).map(|i| (i, i + 1)));
-        let inst = WireInstance::Pop(PopInstance {
-            graph: g,
-            witness: Some((0..n).collect()),
-            is_yes: true,
-        });
+        let inst =
+            Instance::Pop(PopInstance { graph: g, witness: Some((0..n).collect()), is_yes: true });
         Transcript::record(inst, PopParams::default(), Transport::Simulated, 0, 1, seed)
     }
 
@@ -485,7 +349,7 @@ mod tests {
         let bytes = t.encode();
         let back = Transcript::decode(&bytes).expect("decode");
         assert_eq!(back.encode(), bytes, "re-encode must be byte-identical");
-        assert_eq!(back.instance.family_tag(), 1);
+        assert_eq!(back.instance.family(), Family::PathOuterplanar);
         assert_eq!(back.run_seed, 11);
         assert!(back.accepted);
     }

@@ -44,7 +44,7 @@
 //! committed path), exiting 1 if its audit fails.
 
 use pdip_bench::exp;
-use pdip_engine::{no_instance, Family, YesInstance, FAMILIES};
+use pdip_engine::{no_instance, Family, Instance, FAMILIES};
 
 /// Track the allocator high-water so `pdip exp e11` and the
 /// `[engine]` summary line can report real heap peaks; see
@@ -56,7 +56,7 @@ use pdip_engine::{Engine, Prover, ProverSpec, Reporter, SeedMode, ServeConfig, S
 use pdip_obs::NoopRecorder;
 use planarity_dip::dip::{par, DipProtocol};
 use planarity_dip::protocols::{Amplified, PopParams, Transport};
-use planarity_dip::wire::{Transcript, VerifyOutcome, WireInstance};
+use planarity_dip::wire::{Transcript, VerifyOutcome};
 
 fn usage() -> ! {
     eprintln!(
@@ -81,7 +81,7 @@ fn usage() -> ! {
 }
 
 fn parse_family(s: &str) -> Family {
-    FAMILIES.iter().copied().find(|f| f.name() == s).unwrap_or_else(|| {
+    Family::from_name(s).unwrap_or_else(|| {
         eprintln!("unknown family '{s}'");
         usage()
     })
@@ -204,7 +204,7 @@ fn main() {
         "exp" => run_experiment(&args[1..]),
         "families" => {
             for f in FAMILIES {
-                let inst = YesInstance::generate(f, 64, 1);
+                let inst = Instance::generate(f, 64, 1);
                 inst.with_protocol(PopParams::default(), Transport::Native, |p| {
                     println!(
                         "{:<22} rounds = {}   cheats = [{}]",
@@ -233,7 +233,7 @@ fn main() {
             let inst = if args.iter().any(|a| a == "--no-instance") || cheat.is_some() {
                 no_instance(fam, n, seed)
             } else {
-                YesInstance::generate(fam, n, seed)
+                Instance::generate(fam, n, seed)
             };
             inst.with_protocol(PopParams::default(), transport, |p| {
                 let run = |p: &dyn DipProtocol| match cheat {
@@ -263,7 +263,7 @@ fn main() {
             println!("{:>10}  {:>10}", "n", "proof bits");
             for k in from..=to {
                 let n = 1usize << k;
-                let inst = YesInstance::generate(fam, n, 3);
+                let inst = Instance::generate(fam, n, 3);
                 let size = inst.with_protocol(PopParams::default(), Transport::Native, |p| {
                     p.run_honest(1).stats.proof_size()
                 });
@@ -394,10 +394,10 @@ fn main() {
             let inst = if args.iter().any(|a| a == "--no-instance") || prover != 0 {
                 no_instance(fam, n, gen_seed)
             } else {
-                YesInstance::generate(fam, n, gen_seed)
+                Instance::generate(fam, n, gen_seed)
             };
             let t = Transcript::record(
-                to_wire(inst),
+                inst,
                 PopParams::default(),
                 transport,
                 prover,
@@ -635,15 +635,3 @@ fn install_signal_drain(shutdown: &pdip_engine::ShutdownFlag) {
 
 #[cfg(not(unix))]
 fn install_signal_drain(_shutdown: &pdip_engine::ShutdownFlag) {}
-
-/// Maps an engine instance onto its wire-format container.
-fn to_wire(inst: YesInstance) -> WireInstance {
-    match inst {
-        YesInstance::Pop(i) => WireInstance::Pop(i),
-        YesInstance::Op(i) => WireInstance::Op(i),
-        YesInstance::Emb(i) => WireInstance::Emb(i),
-        YesInstance::Pl(i) => WireInstance::Pl(i),
-        YesInstance::Spa(i) => WireInstance::Spa(i),
-        YesInstance::Tw2(i) => WireInstance::Tw2(i),
-    }
-}

@@ -6,7 +6,7 @@
 use planarity_dip::protocols::{PopParams, Transport};
 use proptest::prelude::*;
 
-use pdip_engine::{no_instance, Family, YesInstance, FAMILIES};
+use pdip_engine::{no_instance, Family, Instance, FAMILIES};
 
 fn family_strategy() -> impl Strategy<Value = Family> {
     prop::sample::select(FAMILIES.to_vec())
@@ -23,7 +23,7 @@ proptest! {
         gen_seed in 0u64..1_000,
         run_seed in 0u64..1_000,
     ) {
-        let inst = YesInstance::generate(fam, n, gen_seed);
+        let inst = Instance::generate(fam, n, gen_seed);
         inst.with_protocol(PopParams::default(), Transport::Native, |p| {
             prop_assert!(p.is_yes_instance(), "generator must produce yes-instances");
             let res = p.run_honest(run_seed);
@@ -41,7 +41,7 @@ proptest! {
         n in 8usize..120,
         seed in 0u64..500,
     ) {
-        let inst = YesInstance::generate(fam, n, 77);
+        let inst = Instance::generate(fam, n, 77);
         inst.with_protocol(PopParams::default(), Transport::Native, |p| {
             let a = p.run_honest(seed);
             let b = p.run_honest(seed);
@@ -84,7 +84,7 @@ proptest! {
         n in 8usize..100,
         seed in 0u64..300,
     ) {
-        let inst = YesInstance::generate(fam, n, seed);
+        let inst = Instance::generate(fam, n, seed);
         inst.with_protocol(PopParams::default(), Transport::Simulated, |p| {
             let res = p.run_honest(seed ^ 0x5555);
             prop_assert!(res.accepted(), "{}: {:?}", p.name(), res.rejections.first());

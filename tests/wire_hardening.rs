@@ -4,22 +4,15 @@
 //! never an allocation sized by attacker-controlled counts.
 
 use pdip_engine::chaos::Mutator;
-use pdip_engine::{YesInstance, FAMILIES};
+use pdip_engine::{Instance, FAMILIES};
 use planarity_dip::protocols::{PopParams, Transport};
 use planarity_dip::wire::{
-    fault_class, fnv1a64, read_frame, read_frame_limited, write_frame, Transcript, WireInstance,
+    fault_class, fnv1a64, read_frame, read_frame_limited, write_frame, Transcript,
 };
 use std::io::Cursor;
 
 fn family_blob(fi: usize, seed: u64) -> Vec<u8> {
-    let inst = match YesInstance::generate(FAMILIES[fi], 24, seed) {
-        YesInstance::Pop(i) => WireInstance::Pop(i),
-        YesInstance::Op(i) => WireInstance::Op(i),
-        YesInstance::Emb(i) => WireInstance::Emb(i),
-        YesInstance::Pl(i) => WireInstance::Pl(i),
-        YesInstance::Spa(i) => WireInstance::Spa(i),
-        YesInstance::Tw2(i) => WireInstance::Tw2(i),
-    };
+    let inst = Instance::generate(FAMILIES[fi], 24, seed);
     Transcript::record(inst, PopParams::default(), Transport::Simulated, 0, seed, seed ^ 7).encode()
 }
 

@@ -2,21 +2,10 @@
 //! family and instance size, `decode(encode(t))` must reproduce the
 //! transcript structurally AND re-encode to byte-identical output.
 
-use pdip_engine::{no_instance, Family, YesInstance, FAMILIES};
+use pdip_engine::{no_instance, Family, Instance, FAMILIES};
 use planarity_dip::protocols::{PopParams, Transport};
-use planarity_dip::wire::{Transcript, WireInstance};
+use planarity_dip::wire::Transcript;
 use proptest::prelude::*;
-
-fn to_wire(inst: YesInstance) -> WireInstance {
-    match inst {
-        YesInstance::Pop(i) => WireInstance::Pop(i),
-        YesInstance::Op(i) => WireInstance::Op(i),
-        YesInstance::Emb(i) => WireInstance::Emb(i),
-        YesInstance::Pl(i) => WireInstance::Pl(i),
-        YesInstance::Spa(i) => WireInstance::Spa(i),
-        YesInstance::Tw2(i) => WireInstance::Tw2(i),
-    }
-}
 
 /// Structural + byte round-trip of one recorded transcript.
 fn assert_roundtrip(t: &Transcript) {
@@ -28,7 +17,7 @@ fn assert_roundtrip(t: &Transcript) {
     assert_eq!(back.params_st_reps, t.params_st_reps);
     assert_eq!(back.gen_seed, t.gen_seed);
     assert_eq!(back.run_seed, t.run_seed);
-    assert_eq!(back.instance.family_tag(), t.instance.family_tag());
+    assert_eq!(back.instance.family(), t.instance.family());
     assert_eq!(back.instance.n(), t.instance.n());
     assert_eq!(back.instance.is_yes(), t.instance.is_yes());
     assert_eq!(back.rounds.rounds.len(), t.rounds.rounds.len());
@@ -49,7 +38,7 @@ fn all_families_roundtrip_at_small_and_medium_sizes() {
     for (fi, fam) in FAMILIES.iter().enumerate() {
         for (ni, n) in [1usize, 2, 64].iter().enumerate() {
             let seed = 1000 + (fi as u64) * 10 + ni as u64;
-            let yes = to_wire(YesInstance::generate(*fam, *n, seed));
+            let yes = Instance::generate(*fam, *n, seed);
             let honest = Transcript::record(
                 yes,
                 PopParams::default(),
@@ -60,7 +49,7 @@ fn all_families_roundtrip_at_small_and_medium_sizes() {
             );
             assert_roundtrip(&honest);
 
-            let no = to_wire(no_instance(*fam, (*n).max(8), seed));
+            let no = no_instance(*fam, (*n).max(8), seed);
             let cheat = Transcript::record(
                 no,
                 PopParams::default(),
@@ -88,9 +77,9 @@ proptest! {
         let fam: Family = FAMILIES[fi];
         let n = [1usize, 2, 64][ni];
         let inst = if honest == 1 {
-            to_wire(YesInstance::generate(fam, n, seed))
+            Instance::generate(fam, n, seed)
         } else {
-            to_wire(no_instance(fam, n.max(8), seed))
+            no_instance(fam, n.max(8), seed)
         };
         let prover = if honest == 1 { 0 } else { 1 };
         let t = Transcript::record(
