@@ -6,7 +6,7 @@
 //! construction (forest code, LR round-1 labels), the commitment /
 //! multiset passes (LR rounds 2–3 and the per-node decision sweep), and
 //! transcript assembly (capture + size accounting). Every stage carries
-//! a [`Stopwatch`] duration mark (names `round/*`); this module runs the
+//! a [`Stopwatch`](pdip_obs::Stopwatch) duration mark (names `round/*`); this module runs the
 //! round under a duration-summing recorder and reports both
 //!
 //! * **entries** — total wall time per round at each n, paired with the

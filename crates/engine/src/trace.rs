@@ -7,7 +7,7 @@
 //! 1. **Span/record cross-check.** For every job, the `"round_max_bits"`
 //!    / run-level counters the protocol emitted through [`trace_stats`]
 //!    conventions (see `pdip-core::trace`) must equal the
-//!    [`RunRecord`]'s own `per_round_max_bits` / `proof_size_bits` /
+//!    [`RunRecord`](crate::RunRecord)'s own `per_round_max_bits` / `proof_size_bits` /
 //!    `coin_bits` — the tracing layer is not allowed to drift from the
 //!    bit accounting the tables are built on.
 //! 2. **Envelope audit.** Every prover round's max label bits must sit

@@ -82,8 +82,8 @@ pub enum StreamMode {
 pub struct StreamSpec {
     /// Total node count (clamped up to one block minimum).
     pub n: usize,
-    /// Target nodes per block (clamped to ≥ [`GADGET_MIN_BLOCK`] + 1 so
-    /// every mode fits).
+    /// Target nodes per block (clamped to one more than the smallest
+    /// block every mode fits in).
     pub shard_n: usize,
     /// Keep probability for non-tree edges inside each planar block.
     pub keep: f64,

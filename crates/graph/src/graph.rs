@@ -288,7 +288,7 @@ impl Graph {
     /// Returns the id of the edge between `u` and `v`, if present.
     ///
     /// Frozen: binary search in the sorted row of the lower-degree endpoint
-    /// (linear scan below [`SCAN_THRESHOLD`]). Unfrozen: an O(min-degree)
+    /// (a linear scan for short rows). Unfrozen: an O(min-degree)
     /// half-edge walk — querying during construction does *not* trigger a
     /// freeze, so generators can interleave `add_edge` and `has_edge`
     /// without rebuilding rows.

@@ -170,9 +170,13 @@ impl<'a> Outerplanarity<'a> {
                     rej.check(v, d_mod3[u] == d_mod3[v], || {
                         "op: block depth labels differ within block".into()
                     });
-                } else if is_cut[u] && sep_tag[v] == Some(tags[u]) {
+                } else if is_cut[u]
+                    && sep_tag[v] == Some(tags[u])
+                    && d_mod3[u] != (d_mod3[v] + 1) % 3
+                {
                     // u is my block's separating node: its home depth is
-                    // mine minus one (mod 3).
+                    // mine minus one (mod 3). A u one deeper lies in one of
+                    // my child blocks and only shares the tag by chance.
                     rej.check(v, (d_mod3[u] + 1) % 3 == d_mod3[v], || {
                         "op: separating node depth inconsistent".into()
                     });
@@ -451,6 +455,19 @@ mod tests {
             }
         }
         assert!(accepted <= 10, "K4 block accepted {accepted}/100");
+    }
+
+    /// A cut node whose child block holds a cut neighbour with the same
+    /// random tag as its own separating node: the honest prover must
+    /// still be accepted (perfect completeness).
+    #[test]
+    fn tag_collision_with_a_child_block_cut_node_is_accepted() {
+        use crate::family::{Family, Instance};
+        let inst = Instance::generate(Family::Outerplanar, 10_000, 7027697318292710474);
+        let res = inst.with_protocol(PopParams::default(), Transport::Native, |p| {
+            p.run_honest(1128331428645895827)
+        });
+        assert!(res.accepted(), "{:?}", res.rejections.first());
     }
 
     #[test]

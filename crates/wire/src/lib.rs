@@ -4,7 +4,7 @@
 //! instance, the prover identity (honest or a named cheat strategy), the
 //! run seed, the captured per-node label rounds, and the stored outcome —
 //! in a dependency-free little-endian container with a checksum trailer
-//! (see [`format`] for the framing and DESIGN.md §5 for the field-by-field
+//! (see [`format`](mod@format) for the framing and DESIGN.md §5 for the field-by-field
 //! layout and compatibility policy).
 //!
 //! Decoding is hardened: every length field is checked against a hard cap

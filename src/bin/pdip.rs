@@ -1,24 +1,7 @@
 //! `pdip` — command-line driver for the planarity DIPs.
 //!
-//! ```text
-//! pdip families
-//! pdip run <family> [--n N] [--seed S] [--no-instance] [--cheat IDX]
-//!                   [--simulated] [--repeat K]
-//! pdip size <family> [--from K] [--to K]
-//! pdip soundness <family> [--n N] [--trials T]
-//! pdip sweep [--families a,b,..] [--n-from N] [--n-to N] [--trials T]
-//!            [--threads K] [--seed S] [--honest-only] [--out PATH] [--quiet]
-//! pdip exp [<id> [--smoke] [--threads K] [--out PREFIX] [--quiet]]
-//! pdip prove <family> [--n N] [--prover honest|IDX] [--no-instance]
-//!                     [--gen-seed G] [--seed S] [--simulated] [--out PATH]
-//! pdip verify <PATH>
-//! pdip serve [--stdin | --port P] [--threads K] [--queue Q]
-//!            [--deadline-ms D] [--read-deadline-ms D] [--drain-deadline-ms D]
-//!            [--max-frame-bytes B] [--flight-dump PATH]
-//! pdip stats [--host H] [--port P] [--json | --flight]
-//! pdip client [--host H] [--port P] [--seed S] [--retries R]
-//!             [--backoff-ms B] [--shutdown] [--json] FILE...
-//! ```
+//! [`USAGE`] is the synopsis of every subcommand and the table its argv
+//! is parsed against; any usage error prints it and exits 2.
 //!
 //! Exit codes of `pdip verify`: 0 = replay matched and the verifier
 //! accepts, 3 = well-formed but rejected (verifier rejection or replay
@@ -58,33 +41,42 @@ use planarity_dip::dip::{par, DipProtocol};
 use planarity_dip::protocols::{Amplified, PopParams, Transport};
 use planarity_dip::wire::{Transcript, VerifyOutcome};
 
+/// One line per subcommand, printed by `usage()` and read by
+/// [`Args::parse`]: `[--flag VALUE]` takes a value, `[--flag]` and
+/// either side of a `|` are switches, a word from `(` on is a remark,
+/// and every other word names a positional, required unless bracketed
+/// and repeatable if it ends in `...`.
+const USAGE: &str = "\
+pdip families
+pdip run <family> [--n N] [--seed S] [--no-instance] [--cheat IDX] [--simulated] [--repeat K]
+pdip size <family> [--from K] [--to K]
+pdip soundness <family> [--n N] [--trials T]
+pdip sweep [--families a,b,..] [--n-from N] [--n-to N] [--trials T] [--threads K] [--seed S] \
+    [--honest-only] [--out PATH] [--quiet]
+pdip exp [<id> [--smoke] [--threads K] [--out PREFIX] [--quiet]]
+pdip prove <family> [--n N] [--prover honest|IDX] [--no-instance] [--gen-seed G] [--seed S] \
+    [--simulated] [--out PATH]
+pdip verify <PATH>   (exit 0 accept / 3 rejected / 4 malformed)
+pdip serve [--stdin | --port P] [--threads K] [--queue Q] [--deadline-ms D] \
+    [--read-deadline-ms D] [--drain-deadline-ms D] [--max-frame-bytes B] [--flight-dump PATH]
+pdip stats [--host H] [--port P] [--json | --flight]
+pdip client [--host H] [--port P] [--seed S] [--retries R] [--backoff-ms B] [--shutdown] \
+    [--json] FILE...";
+
 fn usage() -> ! {
-    eprintln!(
-        "usage:\n  pdip families\n  pdip run <family> [--n N] [--seed S] [--no-instance] \
-         [--cheat IDX] [--simulated] [--repeat K]\n  pdip size <family> [--from K] [--to K]\n  \
-         pdip soundness <family> [--n N] [--trials T]\n  \
-         pdip sweep [--families a,b,..] [--n-from N] [--n-to N] [--trials T] [--threads K] \
-         [--seed S] [--honest-only] [--out PATH] [--quiet]\n  \
-         pdip exp [<id> [--smoke] [--threads K] [--out PREFIX] [--quiet]]\n  \
-         pdip prove <family> [--n N] [--prover honest|IDX] [--no-instance] [--gen-seed G] \
-         [--seed S] [--simulated] [--out PATH]\n  \
-         pdip verify <PATH>   (exit 0 accept / 3 rejected / 4 malformed)\n  \
-         pdip serve [--stdin | --port P] [--threads K] [--queue Q] [--deadline-ms D] \
-         [--read-deadline-ms D] [--drain-deadline-ms D] [--max-frame-bytes B] \
-         [--flight-dump PATH]\n  \
-         pdip stats [--host H] [--port P] [--json | --flight]\n  \
-         pdip client [--host H] [--port P] [--seed S] [--retries R] [--backoff-ms B] \
-         [--shutdown] [--json] FILE...\n\nfamilies: {}",
-        FAMILIES.iter().map(|f| f.name()).collect::<Vec<_>>().join(", ")
-    );
+    let families: Vec<&str> = FAMILIES.iter().map(|f| f.name()).collect();
+    eprintln!("usage:\n  {}\n\nfamilies: {}", USAGE.replace('\n', "\n  "), families.join(", "));
     std::process::exit(2)
 }
 
+/// Says what is wrong with the command line, then prints the usage.
+fn usage_error(msg: &str) -> ! {
+    eprintln!("{msg}");
+    usage()
+}
+
 fn parse_family(s: &str) -> Family {
-    Family::from_name(s).unwrap_or_else(|| {
-        eprintln!("unknown family '{s}'");
-        usage()
-    })
+    Family::from_name(s).unwrap_or_else(|| usage_error(&format!("unknown family '{s}'")))
 }
 
 /// Parses the cheat-strategy index given to `flag`; anything but an
@@ -93,33 +85,103 @@ fn parse_cheat(fam: Family, flag: &str, value: &str) -> usize {
     let count = fam.cheat_count();
     match value.parse::<usize>() {
         Ok(idx) if idx < count => idx,
-        _ => {
-            eprintln!("{flag} must be a cheat index below {count} for {}", fam.name());
-            usage()
-        }
+        _ => usage_error(&format!("{flag} must be a cheat index below {count} for {}", fam.name())),
     }
-}
-
-fn flag_value(args: &[String], name: &str) -> Option<String> {
-    args.iter().position(|a| a == name).and_then(|i| args.get(i + 1).cloned())
 }
 
 /// Parses `flag`'s value as a non-negative integer; anything else is a
 /// usage error naming the flag.
 fn parse_num<T: std::str::FromStr>(flag: &str, value: &str) -> T {
     value.parse().unwrap_or_else(|_| {
-        eprintln!("{flag} takes a non-negative integer, got '{value}'");
-        usage()
+        usage_error(&format!("{flag} takes a non-negative integer, got '{value}'"))
     })
 }
 
-fn flag_num(args: &[String], name: &str, default: usize) -> usize {
-    flag_value(args, name).map(|v| parse_num(name, &v)).unwrap_or(default)
+/// One subcommand's argv, parsed against its line of [`USAGE`].
+struct Args {
+    flags: Vec<(String, Option<String>)>,
+    positional: Vec<String>,
 }
 
-/// A `--*-ms` flag as a duration, if given.
-fn flag_ms(args: &[String], name: &str) -> Option<std::time::Duration> {
-    flag_value(args, name).map(|v| std::time::Duration::from_millis(parse_num(name, &v)))
+impl Args {
+    /// Parses `argv` against `synopsis`. An unknown or repeated flag, a
+    /// value flag without its value, and a missing or extra positional
+    /// are usage errors naming the argument.
+    fn parse(synopsis: &str, argv: &[String]) -> Args {
+        let words: Vec<&str> =
+            synopsis.split_whitespace().take_while(|w| !w.starts_with('(')).collect();
+        let cmd = words[..2].join(" ");
+        // (flag, takes a value) and (positional, required) per word.
+        let (mut flags, mut wanted) = (Vec::new(), Vec::new());
+        let mut i = 2;
+        while i < words.len() {
+            let bare = words[i].trim_matches(['[', ']']);
+            if bare.starts_with("--") {
+                let takes = !words[i].ends_with(']') && words.get(i + 1).is_some_and(|w| *w != "|");
+                flags.push((bare, takes));
+                i += takes as usize;
+            } else if bare != "|" {
+                wanted.push((bare, !words[i].starts_with('[')));
+            }
+            i += 1;
+        }
+        let variadic = wanted.last().is_some_and(|(w, _)| w.ends_with("..."));
+        let mut args = Args { flags: Vec::new(), positional: Vec::new() };
+        let mut rest = argv.iter();
+        while let Some(a) = rest.next() {
+            if !a.starts_with("--") {
+                if args.positional.len() == wanted.len() && !variadic {
+                    usage_error(&format!("{cmd}: unexpected argument '{a}'"));
+                }
+                args.positional.push(a.clone());
+                continue;
+            }
+            let Some(&(_, takes)) = flags.iter().find(|(f, _)| f == a) else {
+                usage_error(&format!("{cmd} does not take '{a}'"))
+            };
+            if args.has(a) {
+                usage_error(&format!("{a} is given twice"));
+            }
+            let value = takes.then(|| match rest.next() {
+                Some(v) if !v.starts_with("--") => v.clone(),
+                _ => usage_error(&format!("{a} needs a value")),
+            });
+            args.flags.push((a.clone(), value));
+        }
+        if let Some((name, true)) = wanted.get(args.positional.len()) {
+            usage_error(&format!("{cmd} needs {name}"));
+        }
+        args
+    }
+
+    fn value(&self, flag: &str) -> Option<&str> {
+        self.flags.iter().find(|(f, _)| f == flag).and_then(|(_, v)| v.as_deref())
+    }
+
+    fn has(&self, flag: &str) -> bool {
+        self.flags.iter().any(|(f, _)| f == flag)
+    }
+
+    fn num<T: std::str::FromStr>(&self, flag: &str, default: T) -> T {
+        self.value(flag).map_or(default, |v| parse_num(flag, v))
+    }
+
+    /// A `--*-ms` flag as a duration, if given.
+    fn ms(&self, flag: &str) -> Option<std::time::Duration> {
+        self.value(flag).map(|v| std::time::Duration::from_millis(parse_num(flag, v)))
+    }
+
+    /// The instance and transport of `run` and `prove`: a no-instance
+    /// with `--no-instance` or a cheating prover, simulated with
+    /// `--simulated`.
+    fn instance(&self, fam: Family, n: usize, seed: u64, cheat: bool) -> (Instance, Transport) {
+        let inst = if cheat || self.has("--no-instance") {
+            no_instance(fam, n, seed)
+        } else {
+            Instance::generate(fam, n, seed)
+        };
+        (inst, if self.has("--simulated") { Transport::Simulated } else { Transport::Native })
+    }
 }
 
 /// Writes one output artifact, creating its parent directory first.
@@ -132,8 +194,11 @@ fn write_artifact(path: &std::path::Path, contents: impl AsRef<[u8]>) {
 
 /// `pdip exp`: lists the registry, or runs one entry and writes its
 /// artifacts as `{PREFIX}.{ext}`.
-fn run_experiment(args: &[String]) {
-    let Some(id) = args.first() else {
+fn run_experiment(args: &Args) {
+    let Some(id) = args.positional.first() else {
+        if let Some((flag, _)) = args.flags.first() {
+            usage_error(&format!("pdip exp takes '{flag}' only after an <id>"));
+        }
         let rows: Vec<Vec<String>> = exp::ENTRIES
             .iter()
             .map(|e| {
@@ -150,31 +215,17 @@ fn run_experiment(args: &[String]) {
     };
     let entry = exp::find(id).unwrap_or_else(|| {
         let ids: Vec<&str> = exp::ENTRIES.iter().map(|e| e.id).collect();
-        eprintln!("unknown experiment '{id}'; ids: {}", ids.join(", "));
-        usage()
+        usage_error(&format!("unknown experiment '{id}'; ids: {}", ids.join(", ")))
     });
-    let mut opts = exp::Opts::default();
-    let mut out = entry.prefix();
-    let mut quiet = false;
-    let mut rest = args[1..].iter();
-    while let Some(flag) = rest.next() {
-        let mut value = || {
-            rest.next().cloned().unwrap_or_else(|| {
-                eprintln!("{flag} needs a value");
-                usage()
-            })
-        };
-        match flag.as_str() {
-            "--smoke" if entry.takes(flag) => opts.smoke = true,
-            "--threads" if entry.takes(flag) => opts.threads = Some(parse_num(flag, &value())),
-            "--out" => out = value(),
-            "--quiet" => quiet = true,
-            _ => {
-                eprintln!("pdip exp {id} does not take '{flag}'");
-                usage()
-            }
-        }
+    if let Some(flag) = ["--smoke", "--threads"].iter().find(|f| args.has(f) && !entry.takes(f)) {
+        usage_error(&format!("pdip exp {id} does not take '{flag}'"));
     }
+    let opts = exp::Opts {
+        smoke: args.has("--smoke"),
+        threads: args.value("--threads").map(|v| parse_num("--threads", v)),
+    };
+    let out = args.value("--out").map_or_else(|| entry.prefix(), str::to_string);
+    let quiet = args.has("--quiet");
     let output = (entry.run)(&opts);
     let mut wrote = Vec::new();
     for (artifact, contents) in entry.artifacts.iter().zip(&output.files) {
@@ -198,10 +249,15 @@ fn run_experiment(args: &[String]) {
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let Some(cmd) = args.first() else { usage() };
+    let argv: Vec<String> = std::env::args().skip(1).collect();
+    let Some(cmd) = argv.first() else { usage() };
+    let synopsis = USAGE
+        .lines()
+        .find(|line| line.split_whitespace().nth(1) == Some(cmd.as_str()))
+        .unwrap_or_else(|| usage_error(&format!("unknown subcommand '{cmd}'")));
+    let args = Args::parse(synopsis, &argv[1..]);
     match cmd.as_str() {
-        "exp" => run_experiment(&args[1..]),
+        "exp" => run_experiment(&args),
         "families" => {
             for f in FAMILIES {
                 let inst = Instance::generate(f, 64, 1);
@@ -216,25 +272,15 @@ fn main() {
             }
         }
         "run" => {
-            let fam = parse_family(args.get(1).map(String::as_str).unwrap_or_else(|| usage()));
-            let n = flag_num(&args, "--n", 1024);
-            let seed = flag_num(&args, "--seed", 7) as u64;
-            let repeat = flag_num(&args, "--repeat", 1);
+            let fam = parse_family(&args.positional[0]);
+            let n = args.num("--n", 1024);
+            let seed = args.num("--seed", 7);
+            let repeat = args.num("--repeat", 1);
             if repeat == 0 {
-                eprintln!("--repeat must be at least 1");
-                usage()
+                usage_error("--repeat must be at least 1");
             }
-            let transport = if args.iter().any(|a| a == "--simulated") {
-                Transport::Simulated
-            } else {
-                Transport::Native
-            };
-            let cheat = flag_value(&args, "--cheat").map(|v| parse_cheat(fam, "--cheat", &v));
-            let inst = if args.iter().any(|a| a == "--no-instance") || cheat.is_some() {
-                no_instance(fam, n, seed)
-            } else {
-                Instance::generate(fam, n, seed)
-            };
+            let cheat = args.value("--cheat").map(|v| parse_cheat(fam, "--cheat", v));
+            let (inst, transport) = args.instance(fam, n, seed, cheat.is_some());
             inst.with_protocol(PopParams::default(), transport, |p| {
                 let run = |p: &dyn DipProtocol| match cheat {
                     Some(s) => p.run_cheat(s, seed),
@@ -257,9 +303,9 @@ fn main() {
             });
         }
         "size" => {
-            let fam = parse_family(args.get(1).map(String::as_str).unwrap_or_else(|| usage()));
-            let from = flag_num(&args, "--from", 8);
-            let to = flag_num(&args, "--to", 14);
+            let fam = parse_family(&args.positional[0]);
+            let from: usize = args.num("--from", 8);
+            let to = args.num("--to", 14);
             println!("{:>10}  {:>10}", "n", "proof bits");
             for k in from..=to {
                 let n = 1usize << k;
@@ -271,12 +317,11 @@ fn main() {
             }
         }
         "soundness" => {
-            let fam = parse_family(args.get(1).map(String::as_str).unwrap_or_else(|| usage()));
-            let n = flag_num(&args, "--n", 300);
-            let trials = flag_num(&args, "--trials", 60) as u64;
+            let fam = parse_family(&args.positional[0]);
+            let n = args.num("--n", 300);
+            let trials = args.num("--trials", 60);
             if trials == 0 {
-                eprintln!("--trials must be at least 1");
-                usage()
+                usage_error("--trials must be at least 1");
             }
             // Trial t runs every cheat on no-instance seed t·101 + 1 with
             // run seed t.
@@ -309,15 +354,14 @@ fn main() {
             }
         }
         "sweep" => {
-            let families: Vec<Family> = match flag_value(&args, "--families") {
+            let families: Vec<Family> = match args.value("--families") {
                 Some(list) => list.split(',').map(parse_family).collect(),
                 None => FAMILIES.to_vec(),
             };
-            let n_from = flag_num(&args, "--n-from", 64);
-            let n_to = flag_num(&args, "--n-to", 256);
+            let n_from = args.num("--n-from", 64);
+            let n_to = args.num("--n-to", 256);
             if n_from == 0 || n_to < n_from {
-                eprintln!("--n-from must be positive and at most --n-to");
-                usage()
+                usage_error("--n-from must be positive and at most --n-to");
             }
             // Doubling grid from n-from up to (and including) n-to.
             let mut sizes = Vec::new();
@@ -327,8 +371,8 @@ fn main() {
                 n *= 2;
             }
             sizes.push(n_to);
-            let threads = flag_num(&args, "--threads", par::machine_parallelism());
-            let provers = if args.iter().any(|a| a == "--honest-only") {
+            let threads = args.num("--threads", par::machine_parallelism());
+            let provers = if args.has("--honest-only") {
                 vec![ProverSpec::Honest]
             } else {
                 vec![ProverSpec::Honest, ProverSpec::AllCheats]
@@ -337,11 +381,11 @@ fn main() {
                 families,
                 sizes,
                 provers,
-                trials: flag_num(&args, "--trials", 10) as u64,
-                base_seed: flag_num(&args, "--seed", 0xd1b) as u64,
+                trials: args.num("--trials", 10),
+                base_seed: args.num("--seed", 0xd1b),
                 ..SweepSpec::default()
             };
-            let mut rep = Reporter::from_quiet_flag(args.iter().any(|a| a == "--quiet"));
+            let mut rep = Reporter::from_quiet_flag(args.has("--quiet"));
             rep.line(&format!(
                 "sweep: {} jobs over {} families x {} sizes, {} threads\n",
                 spec.job_count(),
@@ -366,47 +410,35 @@ fn main() {
                     ));
                 }
             }
-            let out = flag_value(&args, "--out").unwrap_or_else(|| "results/sweep".to_string());
+            let out = args.value("--out").unwrap_or("results/sweep");
             let (json, csv) =
-                pdip_engine::sink::write_outputs(std::path::Path::new(&out), &spec, &outcome)
+                pdip_engine::sink::write_outputs(std::path::Path::new(out), &spec, &outcome)
                     .expect("writing sweep outputs");
             rep.line(&format!("\nwrote {} and {}", json.display(), csv.display()));
             rep.summary(&outcome.metrics);
         }
         "prove" => {
-            let fam = parse_family(args.get(1).map(String::as_str).unwrap_or_else(|| usage()));
-            let n = flag_num(&args, "--n", 64);
-            let gen_seed = flag_num(&args, "--gen-seed", 7) as u64;
-            let run_seed = flag_num(&args, "--seed", 11) as u64;
-            let transport = if args.iter().any(|a| a == "--simulated") {
-                Transport::Simulated
-            } else {
-                Transport::Native
-            };
-            let prover_arg = flag_value(&args, "--prover").unwrap_or_else(|| "honest".into());
+            let fam = parse_family(&args.positional[0]);
+            let gen_seed = args.num("--gen-seed", 7);
+            let prover_arg = args.value("--prover").unwrap_or("honest");
             // The wire's prover byte: 0 is honest, k + 1 is cheat k.
             let prover: u8 = if prover_arg == "honest" {
                 0
             } else {
-                let idx = parse_cheat(fam, "--prover", &prover_arg);
+                let idx = parse_cheat(fam, "--prover", prover_arg);
                 idx.checked_add(1).and_then(|b| u8::try_from(b).ok()).unwrap_or_else(|| usage())
             };
-            let inst = if args.iter().any(|a| a == "--no-instance") || prover != 0 {
-                no_instance(fam, n, gen_seed)
-            } else {
-                Instance::generate(fam, n, gen_seed)
-            };
+            let (inst, transport) = args.instance(fam, args.num("--n", 64), gen_seed, prover != 0);
             let t = Transcript::record(
                 inst,
                 PopParams::default(),
                 transport,
                 prover,
                 gen_seed,
-                run_seed,
+                args.num("--seed", 11),
             );
             let bytes = t.encode();
-            let out = flag_value(&args, "--out").unwrap_or_else(|| "out.transcript".into());
-            let path = std::path::Path::new(&out);
+            let path = std::path::Path::new(args.value("--out").unwrap_or("out.transcript"));
             write_artifact(path, &bytes);
             println!(
                 "wrote {} ({} bytes): {} n={} prover={} verdict={}",
@@ -419,8 +451,8 @@ fn main() {
             );
         }
         "verify" => {
-            let path = args.get(1).cloned().unwrap_or_else(|| usage());
-            let data = std::fs::read(&path).unwrap_or_else(|e| {
+            let path = &args.positional[0];
+            let data = std::fs::read(path).unwrap_or_else(|e| {
                 eprintln!("reading {path}: {e}");
                 std::process::exit(4)
             });
@@ -459,39 +491,32 @@ fn main() {
             }
         }
         "serve" => {
-            if args.iter().any(|a| a == "--smoke") {
-                eprintln!("pdip serve takes no --smoke; the E12 smoke audit is `pdip exp e12`");
-                usage()
-            }
-            let max_frame_bytes =
-                flag_num(&args, "--max-frame-bytes", pdip_engine::serve::MAX_FRAME);
+            let max_frame = args.num("--max-frame-bytes", pdip_engine::serve::MAX_FRAME);
             // A cap below one response header (13 bytes) or absurdly
             // large is a configuration mistake, not a policy.
-            if !(64..=(1usize << 30)).contains(&max_frame_bytes) {
-                eprintln!("--max-frame-bytes must be in [64, 2^30], got {max_frame_bytes}");
-                std::process::exit(2);
+            if !(64..=(1usize << 30)).contains(&max_frame) {
+                usage_error(&format!("--max-frame-bytes must be in [64, 2^30], got {max_frame}"));
             }
+            let defaults = ServeConfig::default();
             let cfg = ServeConfig {
-                threads: flag_num(&args, "--threads", par::machine_parallelism()),
-                queue_cap: flag_num(&args, "--queue", 256),
-                deadline: flag_ms(&args, "--deadline-ms"),
-                max_frame_bytes,
-                read_deadline: flag_ms(&args, "--read-deadline-ms")
-                    .or(ServeConfig::default().read_deadline),
-                drain_deadline: flag_ms(&args, "--drain-deadline-ms")
-                    .unwrap_or(ServeConfig::default().drain_deadline),
+                threads: args.num("--threads", par::machine_parallelism()),
+                queue_cap: args.num("--queue", 256),
+                deadline: args.ms("--deadline-ms"),
+                max_frame_bytes: max_frame,
+                read_deadline: args.ms("--read-deadline-ms").or(defaults.read_deadline),
+                drain_deadline: args.ms("--drain-deadline-ms").unwrap_or(defaults.drain_deadline),
                 // A shared obs bridge so the flight ring survives the
                 // server and can land on disk at drain or panic.
-                obs: flag_value(&args, "--flight-dump").map(|path| {
+                obs: args.value("--flight-dump").map(|path| {
                     std::sync::Arc::new(pdip_engine::ServeObs::with_options(
                         pdip_engine::DEFAULT_FLIGHT_CAP,
                         pdip_engine::DEFAULT_SLOW_THRESHOLD,
                         Some(std::path::PathBuf::from(path)),
                     ))
                 }),
-                ..ServeConfig::default()
+                ..defaults
             };
-            if args.iter().any(|a| a == "--stdin") {
+            if args.has("--stdin") {
                 let stats = pdip_engine::serve_pipe(
                     &cfg,
                     &mut std::io::stdin().lock(),
@@ -508,7 +533,7 @@ fn main() {
                     stats.panics
                 );
             } else {
-                let port = flag_num(&args, "--port", 7437) as u16;
+                let port = args.num("--port", 7437);
                 let mut rep = Reporter::from_quiet_flag(false);
                 let shutdown = pdip_engine::ShutdownFlag::new();
                 install_signal_drain(&shutdown);
@@ -529,16 +554,15 @@ fn main() {
             }
         }
         "stats" => {
-            let host = flag_value(&args, "--host").unwrap_or_else(|| "127.0.0.1".into());
-            let port = flag_num(&args, "--port", 7437) as u16;
-            let mode: u8 = if args.iter().any(|a| a == "--flight") {
+            let host = args.value("--host").unwrap_or("127.0.0.1");
+            let mode: u8 = if args.has("--flight") {
                 2
-            } else if args.iter().any(|a| a == "--json") {
+            } else if args.has("--json") {
                 1
             } else {
                 0
             };
-            match pdip_engine::fetch_stats(&host, port, mode) {
+            match pdip_engine::fetch_stats(host, args.num("--port", 7437), mode) {
                 Ok(body) => print!("{body}"),
                 Err(e) => {
                     eprintln!("pdip stats: {e}");
@@ -548,36 +572,16 @@ fn main() {
         }
         "client" => {
             let opts = pdip_engine::ClientOpts {
-                host: flag_value(&args, "--host").unwrap_or_else(|| "127.0.0.1".into()),
-                port: flag_num(&args, "--port", 7437) as u16,
-                seed: flag_num(&args, "--seed", 0) as u64,
-                retries: flag_num(&args, "--retries", 5) as u32,
-                backoff_base_ms: flag_num(&args, "--backoff-ms", 10) as u64,
-                send_shutdown: args.iter().any(|a| a == "--shutdown"),
+                host: args.value("--host").unwrap_or("127.0.0.1").into(),
+                port: args.num("--port", 7437),
+                seed: args.num("--seed", 0),
+                retries: args.num("--retries", 5),
+                backoff_base_ms: args.num("--backoff-ms", 10),
+                send_shutdown: args.has("--shutdown"),
                 ..pdip_engine::ClientOpts::default()
             };
-            // Positional FILE... arguments: everything that is neither
-            // a flag nor a flag's value.
-            let flags_with_value = ["--host", "--port", "--seed", "--retries", "--backoff-ms"];
-            let mut files: Vec<String> = Vec::new();
-            let mut skip = false;
-            for a in args.iter().skip(1) {
-                if skip {
-                    skip = false;
-                    continue;
-                }
-                if flags_with_value.contains(&a.as_str()) {
-                    skip = true;
-                } else if !a.starts_with("--") {
-                    files.push(a.clone());
-                }
-            }
-            if files.is_empty() {
-                eprintln!("pdip client: no transcript files given");
-                usage()
-            }
-            let mut items = Vec::with_capacity(files.len());
-            for f in &files {
+            let mut items = Vec::with_capacity(args.positional.len());
+            for f in &args.positional {
                 match std::fs::read(f) {
                     Ok(bytes) => items.push((f.clone(), bytes)),
                     Err(e) => {
@@ -586,7 +590,7 @@ fn main() {
                     }
                 }
             }
-            let json = args.iter().any(|a| a == "--json");
+            let json = args.has("--json");
             // With --json the human-readable per-file lines are
             // suppressed so stdout carries exactly one JSON object.
             let mut rep = Reporter::from_quiet_flag(json);
@@ -600,7 +604,7 @@ fn main() {
             }
             std::process::exit(outcome.exit_code());
         }
-        _ => usage(),
+        _ => unreachable!("`{cmd}` has a line in USAGE but no arm here"),
     }
 }
 

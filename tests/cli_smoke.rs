@@ -79,9 +79,56 @@ fn malformed_numeric_flags_are_usage_errors_naming_the_flag() {
         (&["exp", "e99"], "unknown experiment 'e99'; ids: e1, e2, e3".into()),
         (&["exp", "bench-hotpath", "--threads", "3"], "does not take '--threads'".into()),
         (&["exp", "e12", "--smoke"], "does not take '--smoke'".into()),
+        (
+            &["run", "path-outerplanarity", "--n", "32", "--sed", "3"],
+            "does not take '--sed'".into(),
+        ),
+        (&["serve", "--smok"], "pdip serve does not take '--smok'".into()),
+        (&["client", "--prot", "1"], "pdip client does not take '--prot'".into()),
+        (&["run", "planarity", "--n"], "--n needs a value".into()),
+        (&["prove", "planarity", "--out", "--quiet"], "--out needs a value".into()),
+        (&["run", "planarity", "--n", "5", "--n", "6"], "--n is given twice".into()),
+        (&["sweep", "extra"], "pdip sweep: unexpected argument 'extra'".into()),
+        (&["verify", "a", "b"], "pdip verify: unexpected argument 'b'".into()),
+        (&["serve", "--max-frame-bytes", "5"], "--max-frame-bytes must be in [64, 2^30]".into()),
     ] {
         let err = usage_error(args);
         assert!(err.contains(&want), "{args:?}: {err}");
+    }
+}
+
+/// Every subcommand the usage text lists exits 2 on a flag it does not
+/// know before doing any work; `serve` must not bind a port.
+#[test]
+fn every_subcommand_rejects_an_unknown_flag() {
+    use std::process::Stdio;
+    use std::time::{Duration, Instant};
+    let text = usage_error(&[]);
+    let cmds: Vec<&str> = text
+        .lines()
+        .filter_map(|l| l.trim().strip_prefix("pdip "))
+        .filter_map(|l| l.split_whitespace().next())
+        .collect();
+    assert!(cmds.contains(&"serve") && cmds.len() >= 11, "{cmds:?} from {text}");
+    for cmd in cmds {
+        let mut child = pdip()
+            .args([cmd, "--no-such-flag"])
+            .stdout(Stdio::null())
+            .stderr(Stdio::piped())
+            .spawn()
+            .expect("spawn pdip");
+        let started = Instant::now();
+        while child.try_wait().expect("poll pdip").is_none() {
+            if started.elapsed() > Duration::from_secs(10) {
+                let _ = child.kill();
+                panic!("pdip {cmd} --no-such-flag still runs after 10 s");
+            }
+            std::thread::sleep(Duration::from_millis(10));
+        }
+        let out = child.wait_with_output().expect("pdip exits");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "pdip {cmd}: {err}");
+        assert!(err.contains(&format!("pdip {cmd} does not take '--no-such-flag'")), "{err}");
     }
 }
 
