@@ -51,7 +51,8 @@ impl EarDecomposition {
     ///
     /// The spines of first parallel branches stay inside their host ear;
     /// each further branch becomes its own ear. Ears are emitted in
-    /// DFS preorder, so hosts always precede guests.
+    /// DFS preorder, so hosts always precede guests. Every tree node lies
+    /// on exactly one ear's spine, so this is O(tree size).
     pub fn from_sp_tree(tree: &SpTree) -> Self {
         let mut ears: Vec<Ear> = Vec::new();
         let (root_s, _) = tree.terminals(tree.root);
@@ -59,17 +60,10 @@ impl EarDecomposition {
         // Stack of (node, ear the node's spine belongs to, orientation start).
         let mut stack: Vec<(usize, usize, NodeId)> = vec![(tree.root, 0, root_s)];
         while let Some((i, ear, from)) = stack.pop() {
-            let entry = &tree.nodes[i];
-            let to = if from == entry.s { entry.t } else { entry.s };
-            match entry.node {
+            match tree.nodes[i].node {
                 SpNode::Leaf { .. } => {}
                 SpNode::Series { mid, children } => {
-                    let (c0s, c0t) = tree.terminals(children.0);
-                    let (first, second) = if c0s == from || c0t == from {
-                        (children.0, children.1)
-                    } else {
-                        (children.1, children.0)
-                    };
+                    let (first, second) = tree.series_order(children, from);
                     stack.push((first, ear, from));
                     stack.push((second, ear, mid));
                 }
@@ -88,7 +82,6 @@ impl EarDecomposition {
                         ears.push(Ear { path: tree.spine(b, from), host: Some(ear) });
                         stack.push((b, new_ear, from));
                     }
-                    let _ = to;
                 }
             }
         }

@@ -355,6 +355,34 @@ impl Graph {
         (g, nodes.to_vec())
     }
 
+    /// The graph on `nodes` (node `nodes[i]` becomes `i`) with the edges
+    /// `edges` of `self`, added in the order given: a block of a
+    /// biconnected decomposition, say, in O(|nodes| + |edges|).
+    ///
+    /// `local` is the node → new-id map and must have `self.n()` entries.
+    /// On return `local[nodes[i]] == i`; other entries keep what earlier
+    /// calls wrote, so one buffer serves every block of a graph.
+    ///
+    /// # Panics
+    /// Panics if an edge has an endpoint outside `nodes`.
+    pub fn subgraph_on(&self, nodes: &[NodeId], edges: &[EdgeId], local: &mut [usize]) -> Graph {
+        for (new, &old) in nodes.iter().enumerate() {
+            local[old] = new;
+        }
+        let mut g = Graph::new(nodes.len());
+        let new_id = |v: NodeId| {
+            let id = local[v];
+            assert!(nodes.get(id) == Some(&v), "edge endpoint {v} is not in the node set");
+            id
+        };
+        for &e in edges {
+            let edge = self.edges[e];
+            let (u, v) = (new_id(edge.u), new_id(edge.v));
+            g.add_edge(u, v);
+        }
+        g
+    }
+
     /// A copy of the graph with an extra apex node adjacent to every
     /// original node. Used by the outerplanarity recognizer: `G` is
     /// outerplanar iff `G + apex` is planar.

@@ -23,7 +23,7 @@ use crate::path_outerplanar::{PathOuterplanarity, PopCheat, PopInstance, PopPara
 use crate::spanning_tree::{SpanningTreeVerification, StParams};
 use pdip_core::{DipProtocol, Rejections, RunResult, SizeStats, Tag};
 use pdip_graph::outerplanar::outer_cycle;
-use pdip_graph::{BlockCutTree, Graph, NodeId, RootedForest};
+use pdip_graph::{BlockCutTree, EdgeId, Graph, NodeId, RootedForest};
 use pdip_obs::{span, Recorder, SpanId};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -92,9 +92,17 @@ impl<'a> Outerplanarity<'a> {
         // separating node (root block: any endpoint).
         let mut block_paths: Vec<Vec<NodeId>> = Vec::with_capacity(k);
         let mut block_ok = vec![true; k];
+        // Node → block-local id, shared by every block graph built below.
+        let mut local = vec![usize::MAX; n];
         for c in 0..k {
             let nodes = bct.bcc.component_nodes(g, c);
-            let path = block_hamiltonian_path(g, &nodes, bct.separating_node[c]);
+            let path = block_hamiltonian_path(
+                g,
+                &nodes,
+                &bct.bcc.components[c],
+                bct.separating_node[c],
+                &mut local,
+            );
             match path {
                 Some(p) => block_paths.push(p),
                 None => {
@@ -247,18 +255,9 @@ impl<'a> Outerplanarity<'a> {
             if nodes.len() < 3 {
                 continue; // single edges are trivially fine
             }
-            // Build the block graph from its edges.
-            let mut remap = std::collections::HashMap::new();
-            for (i, &v) in nodes.iter().enumerate() {
-                remap.insert(v, i);
-            }
-            let mut h = Graph::new(nodes.len());
-            for &e in &bct.bcc.components[c] {
-                let edge = g.edge(e);
-                h.add_edge(remap[&edge.u], remap[&edge.v]);
-            }
+            let h = g.subgraph_on(&nodes, &bct.bcc.components[c], &mut local);
             let witness: Option<Vec<NodeId>> = if block_ok[c] {
-                Some(block_paths[c].iter().map(|v| remap[v]).collect())
+                Some(block_paths[c].iter().map(|&v| local[v]).collect())
             } else {
                 None
             };
@@ -317,13 +316,17 @@ impl<'a> Outerplanarity<'a> {
     }
 }
 
-/// A Hamiltonian path of the block on `nodes`, starting at `start` if
-/// given (the separating node). Uses the outer-cycle structure of
-/// biconnected outerplanar blocks; `None` when the block is not one.
+/// A Hamiltonian path of the block on `nodes` with edges `block`,
+/// starting at `start` if given (the separating node). Uses the
+/// outer-cycle structure of biconnected outerplanar blocks; `None` when
+/// the block is not one. `local` is the node → block-id buffer of
+/// [`Graph::subgraph_on`].
 fn block_hamiltonian_path(
     g: &Graph,
     nodes: &[NodeId],
+    block: &[EdgeId],
     start: Option<NodeId>,
+    local: &mut [usize],
 ) -> Option<Vec<NodeId>> {
     if nodes.len() == 1 {
         return Some(nodes.to_vec());
@@ -335,9 +338,13 @@ fn block_hamiltonian_path(
             _ => Some(vec![a, b]),
         };
     }
-    let (h, map) = g.induced_subgraph(nodes);
+    // The induced subgraph on `nodes`: every edge between two nodes of a
+    // block lies in the block, so its edges in id order are exactly them.
+    let mut edges = block.to_vec();
+    edges.sort_unstable();
+    let h = g.subgraph_on(nodes, &edges, local);
     let cycle_local = outer_cycle(&h)?;
-    let mut cycle: Vec<NodeId> = cycle_local.iter().map(|&v| map[v]).collect();
+    let mut cycle: Vec<NodeId> = cycle_local.iter().map(|&v| nodes[v]).collect();
     if let Some(s) = start {
         let pos = cycle.iter().position(|&v| v == s)?;
         cycle.rotate_left(pos);

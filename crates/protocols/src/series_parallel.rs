@@ -27,7 +27,7 @@ use crate::path_outerplanar::{PathOuterplanarity, PopCheat, PopInstance, PopPara
 use crate::spanning_tree::{SpanningTreeVerification, StParams};
 use pdip_core::{DipProtocol, Rejections, RunResult, SizeStats, Tag};
 use pdip_graph::ear::EarDecomposition;
-use pdip_graph::{Graph, NodeId, RootedForest};
+use pdip_graph::{BiconnectedComponents, EdgeId, Graph, NodeId, RootedForest};
 use pdip_obs::{span, Recorder, SpanId};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -84,6 +84,12 @@ impl<'a> SeriesParallel<'a> {
         &self.inst.graph
     }
 
+    /// The prover's decomposition. On a series-parallel graph: the ears
+    /// of [`EarDecomposition::from_sp_tree`], one SP tree, O(n + m).
+    /// Otherwise the honest prover and `HideExtraEdges` hide edges
+    /// greedily: each deletion costs one kept-graph rebuild, one SP-tree
+    /// attempt and one biconnected pass, each O(n + m), so hiding h edges
+    /// is O(h · (n + m)).
     fn commitment(&self, cheat: Option<SpaCheat>) -> Commitment {
         let g = self.g();
         if let Some(tree) = pdip_graph::sp_tree(g) {
@@ -95,11 +101,15 @@ impl<'a> SeriesParallel<'a> {
         }
         match cheat {
             Some(SpaCheat::HideExtraEdges) | None => {
-                // Remove edges greedily until series-parallel.
+                // Remove edges greedily until series-parallel: each round
+                // drops the lowest-id kept edge whose removal keeps the
+                // kept graph connected, i.e. the first non-bridge.
                 let mut removed: Vec<usize> = Vec::new();
-                let mut keep = vec![true; g.m()];
+                let mut kept: Vec<EdgeId> = (0..g.m()).collect();
                 loop {
-                    let sub = subgraph(g, &keep);
+                    // Edge i of `sub` is edge `kept[i]` of `g`.
+                    let sub =
+                        Graph::from_edges(g.n(), kept.iter().map(|&e| (g.edge(e).u, g.edge(e).v)));
                     if let Some(tree) = pdip_graph::sp_tree(&sub) {
                         let d = EarDecomposition::from_sp_tree(&tree);
                         return Commitment {
@@ -107,21 +117,17 @@ impl<'a> SeriesParallel<'a> {
                             disguised: removed,
                         };
                     }
-                    // Remove the next non-bridge edge.
-                    let next = (0..g.m()).find(|&e| {
-                        if !keep[e] {
-                            return false;
-                        }
-                        keep[e] = false;
-                        let still = subgraph(g, &keep).is_connected();
-                        keep[e] = true;
-                        still
-                    });
+                    // In a connected simple graph an edge is a bridge iff
+                    // its biconnected component is the edge alone; a
+                    // disconnected kept graph stays disconnected.
+                    let next = if sub.is_connected() {
+                        let bcc = BiconnectedComponents::compute(&sub);
+                        (0..sub.m()).find(|&i| bcc.components[bcc.component_of_edge[i]].len() >= 2)
+                    } else {
+                        None
+                    };
                     match next {
-                        Some(e) => {
-                            keep[e] = false;
-                            removed.push(e);
-                        }
+                        Some(i) => removed.push(kept.remove(i)),
                         None => {
                             return Commitment { ears: greedy_path_forest(g), disguised: removed }
                         }
@@ -358,36 +364,49 @@ impl<'a> SeriesParallel<'a> {
         // ---- Condition (3): per host ear, nesting of hosted arcs ----
         let _stage3 = span(rec, 0, SpanId::at("series-parallel/stage", 3));
         let mut per_round_max = [0usize; 3];
+        // (host, guest) for every hosted ear, grouped by host and ascending
+        // in the guest within a host.
+        let mut hosted: Vec<(usize, usize)> =
+            ears.iter().enumerate().skip(1).filter_map(|(j, (_, h))| h.map(|h| (h, j))).collect();
+        hosted.sort_unstable();
+        let mut next_hosted = 0;
+        // Node → position on the current host path (`usize::MAX` off it).
+        let mut pos = vec![usize::MAX; n];
         for (i, (p, _)) in ears.iter().enumerate() {
+            let first = next_hosted;
+            while hosted.get(next_hosted).is_some_and(|&(h, _)| h == i) {
+                next_hosted += 1;
+            }
             if p.is_empty() {
                 continue; // degenerate committed ear (cheats only)
             }
-            // Host path plus virtual arcs from each hosted ear.
-            let mut remap = std::collections::HashMap::new();
+            // Host path plus virtual arcs from each hosted ear. A node a
+            // cheat repeats on the path keeps its last position.
             for (k, &v) in p.iter().enumerate() {
-                remap.insert(v, k);
+                pos[v] = k;
             }
             let mut flat = Graph::new(p.len());
             for k in 0..p.len() - 1 {
                 flat.add_edge(k, k + 1);
             }
             let mut ok = true;
-            for (j, (q, host)) in ears.iter().enumerate() {
-                if *host != Some(i) || j == 0 || q.is_empty() {
-                    if *host == Some(i) && j != 0 && q.is_empty() {
-                        ok = false; // degenerate hosted ear
-                    }
+            for &(_, j) in &hosted[first..next_hosted] {
+                let q = &ears[j].0;
+                let Some((&a, &b)) = q.first().zip(q.last()) else {
+                    ok = false; // degenerate hosted ear
                     continue;
-                }
-                let (a, b) = (q[0], q[q.len() - 1]);
-                match (remap.get(&a), remap.get(&b)) {
-                    (Some(&ra), Some(&rb)) if ra != rb => {
+                };
+                match (pos[a], pos[b]) {
+                    (ra, rb) if ra != usize::MAX && rb != usize::MAX && ra != rb => {
                         if ra.abs_diff(rb) > 1 && !flat.has_edge(ra, rb) {
                             flat.add_edge(ra, rb);
                         }
                     }
                     _ => ok = false,
                 }
+            }
+            for &v in p {
+                pos[v] = usize::MAX;
             }
             if !ok {
                 rej.reject_malformed(p[0], "spa: hosted ear endpoints not on host");
@@ -425,17 +444,6 @@ impl<'a> SeriesParallel<'a> {
         let _ = forest;
         rej.into_result(stats).traced(rec, "series-parallel")
     }
-}
-
-/// The subgraph of `g` keeping the flagged edges (node set unchanged).
-fn subgraph(g: &Graph, keep: &[bool]) -> Graph {
-    let mut h = Graph::new(g.n());
-    for (e, edge) in g.edges().iter().enumerate() {
-        if keep[e] {
-            h.add_edge(edge.u, edge.v);
-        }
-    }
-    h
 }
 
 /// A fake decomposition: BFS-tree paths with every later ear claiming the
@@ -501,8 +509,124 @@ impl DipProtocol for SeriesParallel<'_> {
 mod tests {
     use super::*;
     use pdip_graph::gen::no_instances::tw2_violator;
+    use pdip_graph::gen::planar::random_planar;
     use pdip_graph::gen::sp::random_series_parallel;
     use pdip_obs::NoopRecorder;
+
+    /// The greedy hiding as it was before one bridge pass per deletion:
+    /// every candidate edge rebuilds the kept graph and tests its
+    /// connectivity. Kept as the differential oracle of
+    /// [`SeriesParallel::commitment`].
+    fn reference_commitment(g: &Graph, cheat: Option<SpaCheat>) -> Commitment {
+        let subgraph = |keep: &[bool]| {
+            let mut h = Graph::new(g.n());
+            for (e, edge) in g.edges().iter().enumerate() {
+                if keep[e] {
+                    h.add_edge(edge.u, edge.v);
+                }
+            }
+            h
+        };
+        let decomposed = |tree: &pdip_graph::SpTree, disguised: Vec<usize>| {
+            let d = EarDecomposition::from_sp_tree(tree);
+            Commitment { ears: d.ears.into_iter().map(|e| (e.path, e.host)).collect(), disguised }
+        };
+        if let Some(tree) = pdip_graph::sp_tree(g) {
+            return decomposed(&tree, Vec::new());
+        }
+        if cheat == Some(SpaCheat::FakeForest) {
+            return Commitment { ears: greedy_path_forest(g), disguised: Vec::new() };
+        }
+        let mut removed: Vec<usize> = Vec::new();
+        let mut keep = vec![true; g.m()];
+        loop {
+            if let Some(tree) = pdip_graph::sp_tree(&subgraph(&keep)) {
+                return decomposed(&tree, removed);
+            }
+            let next = (0..g.m()).find(|&e| {
+                if !keep[e] {
+                    return false;
+                }
+                keep[e] = false;
+                let still = subgraph(&keep).is_connected();
+                keep[e] = true;
+                still
+            });
+            match next {
+                Some(e) => {
+                    keep[e] = false;
+                    removed.push(e);
+                }
+                None => return Commitment { ears: greedy_path_forest(g), disguised: removed },
+            }
+        }
+    }
+
+    /// A `K4` with every edge subdivided `sub` times, hung off a path.
+    fn k4_subdivision(sub: usize, tail: usize) -> Graph {
+        let mut g = Graph::new(4);
+        for (a, b) in [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)] {
+            let mut prev = a;
+            for _ in 0..sub {
+                let mid = g.add_node();
+                g.add_edge(prev, mid);
+                prev = mid;
+            }
+            g.add_edge(prev, b);
+        }
+        let mut prev = 3;
+        for _ in 0..tail {
+            let v = g.add_node();
+            g.add_edge(prev, v);
+            prev = v;
+        }
+        g
+    }
+
+    /// A random simple graph on `n` nodes with edge probability `p`
+    /// (possibly disconnected).
+    fn random_graph(n: usize, p: f64, rng: &mut SmallRng) -> Graph {
+        let mut g = Graph::new(n);
+        for u in 0..n {
+            for v in u + 1..n {
+                if rng.gen_bool(p) {
+                    g.add_edge(u, v);
+                }
+            }
+        }
+        g
+    }
+
+    #[test]
+    fn commitment_matches_the_per_candidate_hiding() {
+        let mut rng = SmallRng::seed_from_u64(113);
+        let mut graphs: Vec<Graph> = Vec::new();
+        for size in [1usize, 3, 10, 40, 120] {
+            graphs.push(random_series_parallel(size, &mut rng).graph);
+        }
+        for (blocks, sub) in [(1usize, 0usize), (2, 1), (4, 2), (8, 0)] {
+            graphs.push(tw2_violator(blocks, sub, &mut rng));
+        }
+        for (sub, tail) in [(0usize, 0usize), (1, 2), (3, 5)] {
+            graphs.push(k4_subdivision(sub, tail));
+        }
+        for n in [6usize, 15, 30] {
+            graphs.push(random_planar(n, 0.7, &mut rng).graph);
+        }
+        for _ in 0..40 {
+            let n = rng.gen_range(2..9);
+            graphs.push(random_graph(n, rng.gen_range(0.2..0.9), &mut rng));
+        }
+        for g in &graphs {
+            let inst = SpaInstance { graph: g.clone(), is_yes: pdip_graph::is_series_parallel(g) };
+            let p = SeriesParallel::new(&inst, PopParams::default(), Transport::Native);
+            for cheat in [None, Some(SpaCheat::HideExtraEdges)] {
+                let (got, want) = (p.commitment(cheat), reference_commitment(g, cheat));
+                assert_eq!(got.ears, want.ears, "ears of {cheat:?} on {:?}", g.edges());
+                assert_eq!(got.disguised, want.disguised, "{cheat:?} on {:?}", g.edges());
+            }
+        }
+    }
 
     #[test]
     fn perfect_completeness() {

@@ -140,20 +140,13 @@ impl<'a> Treewidth2<'a> {
         // ---- Per-block series-parallel runs ----
         let _stage2 = span(rec, 0, SpanId::at("treewidth-2/stage", 2));
         let mut per_round_max = [0usize; 3];
+        let mut local = vec![usize::MAX; n];
         for c in 0..k {
             let nodes = bct.bcc.component_nodes(g, c);
             if nodes.len() <= 2 {
                 continue; // single edges are series-parallel
             }
-            let mut remap = std::collections::HashMap::new();
-            for (i, &v) in nodes.iter().enumerate() {
-                remap.insert(v, i);
-            }
-            let mut h = Graph::new(nodes.len());
-            for &e in &bct.bcc.components[c] {
-                let edge = g.edge(e);
-                h.add_edge(remap[&edge.u], remap[&edge.v]);
-            }
+            let h = g.subgraph_on(&nodes, &bct.bcc.components[c], &mut local);
             let is_yes = pdip_graph::is_series_parallel(&h);
             let sub_inst = SpaInstance { graph: h, is_yes };
             let sub = SeriesParallel::new(&sub_inst, self.params, self.transport);

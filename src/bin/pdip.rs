@@ -42,10 +42,11 @@ use planarity_dip::protocols::{Amplified, PopParams, Transport};
 use planarity_dip::wire::{Transcript, VerifyOutcome};
 
 /// One line per subcommand, printed by `usage()` and read by
-/// [`Args::parse`]: `[--flag VALUE]` takes a value, `[--flag]` and
-/// either side of a `|` are switches, a word from `(` on is a remark,
-/// and every other word names a positional, required unless bracketed
-/// and repeatable if it ends in `...`.
+/// [`Args::parse`]: `[--flag VALUE]` takes a value, `[--flag]` is a
+/// switch, the flags on either side of a standalone `|` exclude each
+/// other, a word from `(` on is a remark, and every other word names a
+/// positional, required unless bracketed and repeatable if it ends in
+/// `...`.
 const USAGE: &str = "\
 pdip families
 pdip run <family> [--n N] [--seed S] [--no-instance] [--cheat IDX] [--simulated] [--repeat K]
@@ -105,19 +106,23 @@ struct Args {
 
 impl Args {
     /// Parses `argv` against `synopsis`. An unknown or repeated flag, a
-    /// value flag without its value, and a missing or extra positional
-    /// are usage errors naming the argument.
+    /// value flag without its value, both sides of a `|`, and a missing
+    /// or extra positional are usage errors naming the arguments.
     fn parse(synopsis: &str, argv: &[String]) -> Args {
         let words: Vec<&str> =
             synopsis.split_whitespace().take_while(|w| !w.starts_with('(')).collect();
         let cmd = words[..2].join(" ");
-        // (flag, takes a value) and (positional, required) per word.
-        let (mut flags, mut wanted) = (Vec::new(), Vec::new());
+        // (flag, takes a value) and (positional, required) per word, and
+        // the pairs of flags a `|` separates.
+        let (mut flags, mut wanted, mut either) = (Vec::new(), Vec::new(), Vec::new());
         let mut i = 2;
         while i < words.len() {
             let bare = words[i].trim_matches(['[', ']']);
             if bare.starts_with("--") {
                 let takes = !words[i].ends_with(']') && words.get(i + 1).is_some_and(|w| *w != "|");
+                if words[i - 1] == "|" {
+                    either.push((flags.last().map_or("", |&(f, _)| f), bare));
+                }
                 flags.push((bare, takes));
                 i += takes as usize;
             } else if bare != "|" {
@@ -150,6 +155,9 @@ impl Args {
         }
         if let Some((name, true)) = wanted.get(args.positional.len()) {
             usage_error(&format!("{cmd} needs {name}"));
+        }
+        if let Some((a, b)) = either.iter().find(|(a, b)| args.has(a) && args.has(b)) {
+            usage_error(&format!("{cmd} takes {a} or {b}, not both"));
         }
         args
     }
@@ -304,8 +312,16 @@ fn main() {
         }
         "size" => {
             let fam = parse_family(&args.positional[0]);
-            let from: usize = args.num("--from", 8);
-            let to = args.num("--to", 14);
+            // n = 2^K must fit the wire format's node limit.
+            let max_k = planarity_dip::wire::format::MAX_NODES.ilog2() as usize;
+            let exponent = |flag: &str, default: usize| {
+                let k = args.num(flag, default);
+                if k > max_k {
+                    usage_error(&format!("{flag} must be at most {max_k} (n = 2^K), got {k}"));
+                }
+                k
+            };
+            let (from, to) = (exponent("--from", 8), exponent("--to", 14));
             println!("{:>10}  {:>10}", "n", "proof bits");
             for k in from..=to {
                 let n = 1usize << k;

@@ -91,6 +91,10 @@ fn malformed_numeric_flags_are_usage_errors_naming_the_flag() {
         (&["sweep", "extra"], "pdip sweep: unexpected argument 'extra'".into()),
         (&["verify", "a", "b"], "pdip verify: unexpected argument 'b'".into()),
         (&["serve", "--max-frame-bytes", "5"], "--max-frame-bytes must be in [64, 2^30]".into()),
+        (&["size", "planarity", "--from", "64", "--to", "64"], "--from must be at most 24".into()),
+        (&["size", "planarity", "--to", "25"], "--to must be at most 24".into()),
+        (&["serve", "--stdin", "--port", "5"], "takes --stdin or --port, not both".into()),
+        (&["stats", "--json", "--flight"], "takes --json or --flight, not both".into()),
     ] {
         let err = usage_error(args);
         assert!(err.contains(&want), "{args:?}: {err}");
